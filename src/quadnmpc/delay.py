@@ -11,6 +11,7 @@ nominally delay-free.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,66 +57,64 @@ class DelayConfig:
         return cls(tau1=lam * sampling_time, tau2=0.0, tauc=0.0, **kwargs)
 
 
-class InputBuffer:
-    """Time-stamped record of commanded rotor speeds, strictly increasing in time."""
+class _Timeline:
+    """Values stamped with strictly increasing times, held between stamps."""
 
     def __init__(self):
         self._times: list[float] = []
-        self._inputs: list[np.ndarray] = []
+        self._values: list[np.ndarray] = []
 
     def __len__(self) -> int:
         return len(self._times)
 
-    def push(self, t: float, u: np.ndarray) -> None:
+    def push(self, t: float, value: np.ndarray) -> None:
         if self._times and t <= self._times[-1]:
-            raise ValueError("buffer timestamps must be strictly increasing")
+            raise ValueError("timestamps must be strictly increasing")
         self._times.append(float(t))
-        self._inputs.append(np.asarray(u, dtype=float).copy())
+        self._values.append(np.asarray(value, dtype=float).copy())
+
+    def _held(self, t: float) -> np.ndarray:
+        # before the first entry the first value is returned; a nanosecond
+        # of slack absorbs the floating-point wobble of accumulated grid times
+        idx = bisect.bisect_right(self._times, t + 1e-9) - 1
+        return self._values[max(idx, 0)]
+
+    def trim(self, t_keep: float) -> None:
+        """Drop entries no longer needed for lookups at or after ``t_keep``.
+
+        The last entry at or before ``t_keep`` is kept, so every lookup at
+        ``t >= t_keep`` returns what it returned before trimming.
+        """
+        drop = bisect.bisect_right(self._times, t_keep) - 1
+        if drop > 0:
+            del self._times[:drop]
+            del self._values[:drop]
+
+
+class InputBuffer(_Timeline):
+    """Time-stamped record of commanded rotor speeds, strictly increasing in time."""
 
     def at(self, t: float) -> np.ndarray | None:
         """Input active at time ``t`` (sample-and-hold); None if empty.
 
         Before the first entry the first input is returned, past the
-        last entry the last one. A nanosecond of slack absorbs the
-        floating-point wobble of accumulated grid times.
+        last entry the last one.
         """
-        if not self._times:
-            return None
-        idx = np.searchsorted(self._times, t + 1e-9, side="right") - 1
-        return self._inputs[max(idx, 0)]
+        return self._held(t) if self._times else None
 
     def latest(self) -> np.ndarray | None:
         """Most recently issued command; None if empty."""
-        return self._inputs[-1] if self._inputs else None
-
-    def trim(self, t_keep: float) -> None:
-        """Drop entries no longer needed to reconstruct inputs after ``t_keep``."""
-        while len(self._times) > 1 and self._times[1] <= t_keep:
-            self._times.pop(0)
-            self._inputs.pop(0)
+        return self._values[-1] if self._values else None
 
 
-class StateHistory:
+class StateHistory(_Timeline):
     """Time-stamped ground-truth states for delayed measurement lookup."""
 
-    def __init__(self):
-        self._times: list[float] = []
-        self._states: list[np.ndarray] = []
-
-    def __len__(self) -> int:
-        return len(self._times)
-
-    def push(self, t: float, xi: np.ndarray) -> None:
-        if self._times and t <= self._times[-1]:
-            raise ValueError("history timestamps must be strictly increasing")
-        self._times.append(float(t))
-        self._states.append(np.asarray(xi, dtype=float).copy())
-
     def at(self, t: float) -> np.ndarray:
+        """Latest state at or before ``t``; the first one before the start."""
         if not self._times:
             raise ValueError("empty state history")
-        idx = np.searchsorted(self._times, t + 1e-9, side="right") - 1
-        return self._states[max(idx, 0)]
+        return self._held(t)
 
 
 def delayed_measurement(history: StateHistory, t: float, tau1: float) -> np.ndarray:

@@ -187,10 +187,16 @@ def ode_rhs(xi: np.ndarray, u: np.ndarray, params: QuadrotorParams) -> np.ndarra
 
     dp = R @ v
     dq = 0.5 * quat_multiply(q, np.array([0.0, w[0], w[1], w[2]]))
+    # cross products written out: np.cross costs far more on 3-vectors
+    wx, wy, wz = w.tolist()
+    vx, vy, vz = v.tolist()
     # gravity resolved in body axes: R^T (0, 0, g)
-    dv = fb / params.m - params.g * R[2, :] - np.cross(w, v)
+    dv = fb / params.m - params.g * R[2, :] - np.array(
+        [wy * vz - wz * vy, wz * vx - wx * vz, wx * vy - wy * vx]
+    )
     J = params.inertia
-    dw = (mb - np.cross(w, J * w)) / J
+    hx, hy, hz = (J * w).tolist()
+    dw = (mb - np.array([wy * hz - wz * hy, wz * hx - wx * hz, wx * hy - wy * hx])) / J
 
     out = np.empty(NX)
     out[POS] = dp
@@ -226,8 +232,11 @@ def ode_rhs_batch(XI: np.ndarray, U: np.ndarray, params: QuadrotorParams) -> np.
     out[:, 5] = 0.5 * (qw * wy - qx * wz + qz * wx)
     out[:, 6] = 0.5 * (qw * wz + qx * wy - qy * wx)
 
+    vx, vy, vz = v[:, 0], v[:, 1], v[:, 2]
     fz = params.CT * W2.sum(axis=1)
-    out[:, VEL] = -params.g * R[:, 2, :] - np.cross(w, v)
+    out[:, 7] = -params.g * R[:, 2, 0] - (wy * vz - wz * vy)
+    out[:, 8] = -params.g * R[:, 2, 1] - (wz * vx - wx * vz)
+    out[:, 9] = -params.g * R[:, 2, 2] - (wx * vy - wy * vx)
     out[:, 9] += fz / params.m
 
     ctl = params.CT * params.l
@@ -236,10 +245,10 @@ def ode_rhs_batch(XI: np.ndarray, U: np.ndarray, params: QuadrotorParams) -> np.
     mz = params.CD * (-W2[:, 0] + W2[:, 1] - W2[:, 2] + W2[:, 3])
     J = params.inertia
     Jw = w * J
-    gyro = np.cross(w, Jw)
-    out[:, 10] = (mx - gyro[:, 0]) / J[0]
-    out[:, 11] = (my - gyro[:, 1]) / J[1]
-    out[:, 12] = (mz - gyro[:, 2]) / J[2]
+    hx, hy, hz = Jw[:, 0], Jw[:, 1], Jw[:, 2]
+    out[:, 10] = (mx - (wy * hz - wz * hy)) / J[0]
+    out[:, 11] = (my - (wz * hx - wx * hz)) / J[1]
+    out[:, 12] = (mz - (wx * hy - wy * hx)) / J[2]
     return out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics as dyn
-from .qp import OcpQp, QpStage
+from .qp import OcpQp
 
 # stage weight: position, quaternion, body velocity, body rate, rotor speeds
 DEFAULT_STATE_WEIGHT = np.array(
@@ -237,32 +237,19 @@ def build_qp(
     X_next, A, B = discrete_jacobians_batch(X[:-1], U, cfg.dt, cfg.params)
     Wx = cfg.W[: dyn.NX]
     Wu = cfg.W[dyn.NX :]
-    Qd = np.diag(Wx)
-    Rd = np.diag(Wu)
-    d_all = X_next - np.einsum("nij,nj->ni", A, X[:-1]) - np.einsum("nij,nj->ni", B, U)
-    q_all = Wx * (X[:-1] - refs.stages[:, : dyn.NX])
-    r_all = Wu * (U - refs.stages[:, dyn.NX :])
-
-    stages = []
-    for i in range(N):
-        stages.append(
-            QpStage(
-                A=A[i],
-                B=B[i],
-                d=d_all[i],
-                Q=Qd.copy(),
-                R=Rd.copy(),
-                q=q_all[i],
-                r=r_all[i],
-                lb=cfg.u_lower - U[i],
-                ub=cfg.u_upper - U[i],
-            )
-        )
     return OcpQp(
-        stages=stages,
+        A=A,
+        B=B,
+        d=X_next - np.einsum("nij,nj->ni", A, X[:-1]) - np.einsum("nij,nj->ni", B, U),
+        Q=np.tile(np.diag(Wx), (N, 1, 1)),
+        R=np.tile(np.diag(Wu), (N, 1, 1)),
+        q=Wx * (X[:-1] - refs.stages[:, : dyn.NX]),
+        r=Wu * (U - refs.stages[:, dyn.NX :]),
+        lb=cfg.u_lower - U,
+        ub=cfg.u_upper - U,
         Q_N=np.diag(cfg.W_N),
         q_N=cfg.W_N * (X[N] - refs.terminal),
         x0_residual=xhat - X[0],
         xbar=X.copy(),
-        ubar=[U[i].copy() for i in range(N)],
+        ubar=U.copy(),
     )

@@ -14,6 +14,10 @@ horizon into one dense bound-constrained QP and factorizes it with
 Cholesky (cubic in horizon times input size). Partial condensing bridges
 the two, eliminating intermediate states in blocks of ``M`` stages.
 
+The stage data is held as stacked arrays with the stage index first, so
+residuals, complementarity and step lengths are whole-array operations;
+only the Riccati sweeps and the condensing rollout loop over stages.
+
 Each stage stores the affine prediction-model constant
 ``d_i = F_i - A_i xbar_i - B_i ubar_i`` together with the linearization
 points, so the model reconstructs ``F_i`` exactly at ``(xbar_i, ubar_i)``.
@@ -28,10 +32,12 @@ is single-threaded.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 
 class QpNumericalError(RuntimeError):
@@ -43,8 +49,29 @@ _REGULARIZATION = 1e-10
 _FRACTION_TO_BOUNDARY = 0.995
 
 
+def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Stage-wise products ``M[i] @ v[i]``."""
+    return np.matmul(M, v[..., None])[..., 0]
+
+
+def _mtv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Stage-wise products ``M[i].T @ v[i]``."""
+    return np.matmul(v[..., None, :], M)[..., 0, :]
+
+
 @dataclass
-class QpStage:
+class OcpQp:
+    """Banded QP data over ``N`` stages plus a terminal cost.
+
+    Stage ``i`` is row ``i`` of the stacked arrays ``A (N,nx,nx)``,
+    ``B (N,nx,nu)``, ``S (N,nu,nx)``, ``Q (N,nx,nx)``, ``R (N,nu,nu)``,
+    ``d, q (N,nx)`` and ``r, lb, ub (N,nu)``. ``xbar (N+1,nx)`` and
+    ``ubar (N,nu)`` are the linearization points the stage data was
+    built at; for hand-built QPs they default to zero, in which case
+    ``d`` is itself the continuity constant. ``S`` defaults to zero.
+    Shapes and bound ordering are validated once, on construction.
+    """
+
     A: np.ndarray
     B: np.ndarray
     d: np.ndarray
@@ -54,74 +81,52 @@ class QpStage:
     r: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
+    Q_N: np.ndarray
+    q_N: np.ndarray
+    x0_residual: np.ndarray
     S: np.ndarray = None
+    xbar: np.ndarray = None
+    ubar: np.ndarray = None
 
     def __post_init__(self):
-        nx = self.A.shape[0]
-        mu = self.B.shape[1]
+        if self.B.ndim != 3 or self.B.shape[0] < 1:
+            raise ValueError("input matrices must be stacked as (N, nx, nu) with N >= 1")
+        N, nx, nu = self.B.shape
         if self.S is None:
-            self.S = np.zeros((mu, nx))
-        if self.A.shape != (nx, nx) or self.B.shape != (nx, mu):
-            raise ValueError("inconsistent stage dynamics dimensions")
-        if self.Q.shape != (nx, nx) or self.R.shape != (mu, mu) or self.S.shape != (mu, nx):
-            raise ValueError("inconsistent stage cost dimensions")
-        if self.d.shape != (nx,) or self.q.shape != (nx,) or self.r.shape != (mu,):
-            raise ValueError("inconsistent stage vector dimensions")
-        if self.lb.shape != (mu,) or self.ub.shape != (mu,):
-            raise ValueError("inconsistent bound dimensions")
+            self.S = np.zeros((N, nu, nx))
+        if self.xbar is None:
+            self.xbar = np.zeros((N + 1, nx))
+        if self.ubar is None:
+            self.ubar = np.zeros((N, nu))
+        expected = {
+            "A": (N, nx, nx), "S": (N, nu, nx), "Q": (N, nx, nx), "R": (N, nu, nu),
+            "d": (N, nx), "q": (N, nx), "r": (N, nu), "lb": (N, nu), "ub": (N, nu),
+            "Q_N": (nx, nx), "q_N": (nx,), "x0_residual": (nx,),
+            "xbar": (N + 1, nx), "ubar": (N, nu),
+        }
+        for name, shape in expected.items():
+            if getattr(self, name).shape != shape:
+                raise ValueError(
+                    f"{name} has shape {getattr(self, name).shape}, expected {shape}"
+                )
         if np.any(self.lb >= self.ub):
             raise ValueError("lower bounds must be strictly below upper bounds")
 
     @property
-    def nu(self) -> int:
+    def nx(self) -> int:
         return self.B.shape[1]
 
-
-@dataclass
-class OcpQp:
-    """Banded QP data over ``N`` stages plus a terminal cost.
-
-    ``xbar``/``ubar`` are the linearization points the stage data was
-    built at; for hand-built QPs they default to zero, in which case
-    ``d`` is itself the continuity constant.
-    """
-
-    stages: list[QpStage]
-    Q_N: np.ndarray
-    q_N: np.ndarray
-    x0_residual: np.ndarray
-    xbar: np.ndarray = None
-    ubar: list = None
-
-    def __post_init__(self):
-        nx = self.nx
-        N = self.num_stages
-        if self.xbar is None:
-            self.xbar = np.zeros((N + 1, nx))
-        if self.ubar is None:
-            self.ubar = [np.zeros(st.nu) for st in self.stages]
-        if self.Q_N.shape != (nx, nx) or self.q_N.shape != (nx,):
-            raise ValueError("inconsistent terminal cost dimensions")
-        if self.x0_residual.shape != (nx,):
-            raise ValueError("inconsistent initial residual dimension")
-        if self.xbar.shape != (N + 1, nx) or len(self.ubar) != N:
-            raise ValueError("linearization trajectory does not match stage count")
-
     @property
-    def nx(self) -> int:
-        return self.stages[0].A.shape[0]
+    def nu(self) -> int:
+        return self.B.shape[2]
 
     @property
     def num_stages(self) -> int:
-        return len(self.stages)
-
-    def defect(self, i: int) -> np.ndarray:
-        """Continuity constant of stage ``i`` in deviation variables."""
-        st = self.stages[i]
-        return st.d + st.A @ self.xbar[i] + st.B @ self.ubar[i] - self.xbar[i + 1]
+        return self.B.shape[0]
 
     def defects(self) -> np.ndarray:
-        return np.array([self.defect(i) for i in range(self.num_stages)])
+        """Continuity constants of all stages in deviation variables, (N, nx)."""
+        return self.d + _mv(self.A, self.xbar[:-1]) + _mv(self.B, self.ubar) - self.xbar[1:]
 
 
 @dataclass
@@ -131,7 +136,6 @@ class CondensedQp:
     qp: OcpQp
     original: OcpQp
     block_size: int
-    blocks: list  # (first original stage, stage count) per condensed stage
 
 
 @dataclass
@@ -149,49 +153,55 @@ class KktResiduals:
 class QpSolution:
     """Primal-dual solution; residuals are recomputed from the point itself.
 
-    ``linalg_us`` accumulates the time spent factorizing and solving the
-    Newton systems (the part whose cost scales with the problem shape),
-    excluding residual bookkeeping.
+    ``x`` and ``pi`` are (N+1, nx), ``u``, ``lam_lo`` and ``lam_hi``
+    (N, nu). ``linalg_us`` accumulates the time spent factorizing and
+    solving the Newton systems (the part whose cost scales with the
+    problem shape), excluding residual bookkeeping.
     """
 
     x: np.ndarray
-    u: list
+    u: np.ndarray
     pi: np.ndarray
-    lam_lo: list
-    lam_hi: list
+    lam_lo: np.ndarray
+    lam_hi: np.ndarray
     iters: int
     status: str
     residuals: KktResiduals = None
     linalg_us: float = 0.0
 
 
+def _residuals(qp: OcpQp, c: np.ndarray, x, u, pi, lam_lo, lam_hi):
+    """Stationarity ``(rx, ru)`` and equality ``re`` residuals of a primal-dual point.
+
+    ``c`` holds the continuity constants ``qp.defects()``; ``re[0]`` is
+    the initial-condition residual.
+    """
+    N = qp.num_stages
+    rx = np.empty_like(x)
+    rx[:N] = _mv(qp.Q, x[:-1]) + _mtv(qp.S, u) + qp.q + _mtv(qp.A, pi[1:]) - pi[:-1]
+    rx[N] = qp.Q_N @ x[N] + qp.q_N - pi[N]
+    ru = _mv(qp.R, u) + _mv(qp.S, x[:-1]) + qp.r + _mtv(qp.B, pi[1:]) - lam_lo + lam_hi
+    re = np.empty_like(x)
+    re[0] = x[0] - qp.x0_residual
+    re[1:] = x[1:] - _mv(qp.A, x[:-1]) - _mv(qp.B, u) - c
+    return rx, ru, re
+
+
 def kkt_residuals(qp: OcpQp, sol: QpSolution) -> KktResiduals:
     """Infinity norms of the four KKT residual groups at ``sol``."""
-    stat = 0.0
-    eq = float(np.abs(sol.x[0] - qp.x0_residual).max())
-    ineq = 0.0
-    compl = 0.0
-    N = qp.num_stages
-    for i, st in enumerate(qp.stages):
-        x, u = sol.x[i], sol.u[i]
-        rx = st.Q @ x + st.S.T @ u + st.q + st.A.T @ sol.pi[i + 1] - sol.pi[i]
-        ru = st.R @ u + st.S @ x + st.r + st.B.T @ sol.pi[i + 1] - sol.lam_lo[i] + sol.lam_hi[i]
-        stat = max(stat, np.abs(rx).max(), np.abs(ru).max())
-        req = sol.x[i + 1] - st.A @ x - st.B @ u - qp.defect(i)
-        eq = max(eq, np.abs(req).max())
-        sl = u - st.lb
-        su = st.ub - u
-        ineq = max(
-            ineq,
-            float(np.maximum(0.0, -sl).max()),
-            float(np.maximum(0.0, -su).max()),
-            float(np.maximum(0.0, -sol.lam_lo[i]).max()),
-            float(np.maximum(0.0, -sol.lam_hi[i]).max()),
-        )
-        compl = max(compl, np.abs(sol.lam_lo[i] * sl).max(), np.abs(sol.lam_hi[i] * su).max())
-    rxN = qp.Q_N @ sol.x[N] + qp.q_N - sol.pi[N]
-    stat = max(stat, np.abs(rxN).max())
-    return KktResiduals(stat, eq, ineq, compl)
+    rx, ru, re = _residuals(qp, qp.defects(), sol.x, sol.u, sol.pi, sol.lam_lo, sol.lam_hi)
+    sl = sol.u - qp.lb
+    su = qp.ub - sol.u
+    return KktResiduals(
+        stationarity=float(max(np.abs(rx).max(), np.abs(ru).max())),
+        equality=float(np.abs(re).max()),
+        inequality=float(
+            max(0.0, (-sl).max(), (-su).max(), (-sol.lam_lo).max(), (-sol.lam_hi).max())
+        ),
+        complementarity=float(
+            max(np.abs(sol.lam_lo * sl).max(), np.abs(sol.lam_hi * su).max())
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -199,89 +209,98 @@ def kkt_residuals(qp: OcpQp, sol: QpSolution) -> KktResiduals:
 # ---------------------------------------------------------------------------
 
 
+def _blocked(qp: OcpQp, M: int):
+    """Stage data regrouped into blocks of ``M`` stages, each array (nb, M, ...).
+
+    Returns ``A, B, c, Q, q, R, r, lb, ub, ubar`` with ``c`` the
+    continuity constants. When ``M`` does not divide ``N`` the last block
+    is padded with inert stages: identity dynamics, no state cost, and an
+    input with unit cost, zero gradient, bounds +-1 and no effect on the
+    state, whose optimal value is therefore zero.
+    """
+    N, nx, nu = qp.B.shape
+    arrays = [qp.A, qp.B, qp.defects(), qp.Q, qp.q, qp.R, qp.r, qp.lb, qp.ub, qp.ubar]
+    pad = -N % M
+    if pad:
+        fills = [
+            np.eye(nx), 0.0, 0.0, 0.0, 0.0, np.eye(nu), 0.0, -1.0, 1.0, 0.0,
+        ]
+        arrays = [
+            np.concatenate([a, np.broadcast_to(fill, (pad,) + a.shape[1:])])
+            for a, fill in zip(arrays, fills)
+        ]
+    return [a.reshape((-1, M) + a.shape[1:]) for a in arrays]
+
+
 def partial_condense(qp: OcpQp, M: int) -> CondensedQp:
     """Eliminate intermediate states in blocks of ``M`` stages.
 
     Within every block the states after the first are substituted out
     through the continuity constraints, leaving one state variable per
-    block and a stacked input vector of up to ``M * nu`` components.
-    ``M = 1`` is the identity transformation, ``M = num_stages`` the
-    fully condensed problem. Stage costs must be separable (no
-    state-input cross terms) on entry.
+    block and a stacked input vector of ``M * nu`` components. All
+    blocks are condensed together, one stage position at a time; a
+    ragged last block is padded with inert inputs that :func:`expand`
+    drops again. ``M = 1`` is the identity transformation,
+    ``M = num_stages`` the fully condensed problem. Stage costs must be
+    separable (no state-input cross terms) on entry.
     """
     N = qp.num_stages
     if not 1 <= M <= N:
         raise ValueError(f"block size must be within [1, {N}], got {M}")
-    for st in qp.stages:
-        if np.any(st.S):
-            raise ValueError("partial condensing expects a separable stage cost")
+    if np.any(qp.S):
+        raise ValueError("partial condensing expects a separable stage cost")
 
-    nx = qp.nx
-    blocks = [(s, min(M, N - s)) for s in range(0, N, M)]
-    new_stages = []
-    new_xbar = []
-    new_ubar = []
-    for s, L in blocks:
-        mU = sum(qp.stages[s + j].nu for j in range(L))
-        offs = np.cumsum([0] + [qp.stages[s + j].nu for j in range(L)])
-        T = np.eye(nx)
-        G = np.zeros((nx, mU))
-        f = np.zeros(nx)
-        Qb = np.zeros((nx, nx))
-        qb = np.zeros(nx)
-        Rb = np.zeros((mU, mU))
-        Sb = np.zeros((mU, nx))
-        rb = np.zeros(mU)
-        lb = np.concatenate([qp.stages[s + j].lb for j in range(L)])
-        ub = np.concatenate([qp.stages[s + j].ub for j in range(L)])
-        for j in range(L):
-            st = qp.stages[s + j]
-            cols = slice(offs[j], offs[j + 1])
-            # cost of stage s+j expressed in (x_s, U) through x = T x_s + G U + f
-            QT = st.Q @ T
-            Qb += T.T @ QT
-            w = st.Q @ f + st.q
-            qb += T.T @ w
-            Rb[cols, cols] += st.R
-            Rb += G.T @ (st.Q @ G)
-            Sb += G.T @ QT
-            rb[cols] += st.r
-            rb += G.T @ w
-            # advance the rollout map to x_{s+j+1}
-            f = st.A @ f + qp.defect(s + j)
-            G = st.A @ G
-            G[:, cols] += st.B
-            T = st.A @ T
-        xb = qp.xbar[s]
-        Ub = np.concatenate([qp.ubar[s + j] for j in range(L)])
-        x_next = qp.xbar[s + L]
-        d = f - (T @ xb + G @ Ub - x_next)
-        new_stages.append(
-            QpStage(
-                A=T,
-                B=G,
-                d=d,
-                Q=0.5 * (Qb + Qb.T),
-                R=0.5 * (Rb + Rb.T),
-                q=qb,
-                r=rb,
-                lb=lb,
-                ub=ub,
-                S=Sb,
-            )
-        )
-        new_xbar.append(xb)
-        new_ubar.append(Ub)
-    new_xbar.append(qp.xbar[N])
+    nx, nu = qp.nx, qp.nu
+    A, B, c, Q, q, R, r, lb, ub, ubar = _blocked(qp, M)
+    nb = A.shape[0]
+    mU = M * nu
+    # rollout map of the current stage: x = T x_s + G U + f
+    T = np.broadcast_to(np.eye(nx), (nb, nx, nx))
+    G = np.zeros((nb, nx, mU))
+    f = np.zeros((nb, nx))
+    Qb = np.zeros((nb, nx, nx))
+    qb = np.zeros((nb, nx))
+    Rb = np.zeros((nb, mU, mU))
+    Sb = np.zeros((nb, mU, nx))
+    rb = np.zeros((nb, mU))
+    for j in range(M):
+        cols = slice(j * nu, (j + 1) * nu)
+        Tt = T.swapaxes(1, 2)
+        Gt = G.swapaxes(1, 2)
+        QT = Q[:, j] @ T
+        Qb += Tt @ QT
+        w = _mv(Q[:, j], f) + q[:, j]
+        qb += _mv(Tt, w)
+        Rb[:, cols, cols] += R[:, j]
+        Rb += Gt @ (Q[:, j] @ G)
+        Sb += Gt @ QT
+        rb[:, cols] += r[:, j]
+        rb += _mv(Gt, w)
+        f = _mv(A[:, j], f) + c[:, j]
+        G = A[:, j] @ G
+        G[:, :, cols] += B[:, j]
+        T = A[:, j] @ T
+    xb = qp.xbar[:N:M]
+    Ub = ubar.reshape(nb, mU)
+    x_next = qp.xbar[np.minimum(np.arange(1, nb + 1) * M, N)]
     cqp = OcpQp(
-        stages=new_stages,
+        A=T,
+        B=G,
+        d=f - (_mv(T, xb) + _mv(G, Ub) - x_next),
+        Q=0.5 * (Qb + Qb.swapaxes(1, 2)),
+        R=0.5 * (Rb + Rb.swapaxes(1, 2)),
+        q=qb,
+        r=rb,
+        lb=lb.reshape(nb, mU),
+        ub=ub.reshape(nb, mU),
+        S=Sb,
         Q_N=qp.Q_N.copy(),
         q_N=qp.q_N.copy(),
         x0_residual=qp.x0_residual.copy(),
-        xbar=np.array(new_xbar),
-        ubar=new_ubar,
+        xbar=np.concatenate([xb, qp.xbar[N:]]),
+        ubar=Ub,
     )
-    return CondensedQp(qp=cqp, original=qp, block_size=M, blocks=blocks)
+    return CondensedQp(qp=cqp, original=qp, block_size=M)
 
 
 def expand(sol: QpSolution, cond: CondensedQp) -> QpSolution:
@@ -289,46 +308,34 @@ def expand(sol: QpSolution, cond: CondensedQp) -> QpSolution:
 
     Eliminated states come from forward simulation of the affine
     dynamics, eliminated equality multipliers from the backward
-    stationarity recursion; input bound multipliers transfer directly.
+    stationarity recursion, both run for all blocks at once; input bound
+    multipliers transfer directly. Padded inert inputs are dropped.
     """
     qp = cond.original
-    if len(sol.u) != len(cond.blocks) or sol.x.shape[0] != len(cond.blocks) + 1:
+    M = cond.block_size
+    N, nx, nu = qp.B.shape
+    nb = cond.qp.num_stages
+    if sol.u.shape != (nb, M * nu) or sol.x.shape[0] != nb + 1:
         raise ValueError("solution does not match the condensing metadata")
-    for b, (s, L) in enumerate(cond.blocks):
-        if sol.u[b].shape[0] != sum(qp.stages[s + j].nu for j in range(L)):
-            raise ValueError("solution does not match the condensing metadata")
 
-    N = qp.num_stages
-    nx = qp.nx
-    x = np.zeros((N + 1, nx))
-    pi = np.zeros((N + 1, nx))
-    u = [None] * N
-    lam_lo = [None] * N
-    lam_hi = [None] * N
-    x[N] = sol.x[-1]
-    pi[N] = sol.pi[-1]
-    for b, (s, L) in enumerate(cond.blocks):
-        offs = np.cumsum([0] + [qp.stages[s + j].nu for j in range(L)])
-        x[s] = sol.x[b]
-        pi[s] = sol.pi[b]
-        for j in range(L):
-            cols = slice(offs[j], offs[j + 1])
-            u[s + j] = sol.u[b][cols]
-            lam_lo[s + j] = sol.lam_lo[b][cols]
-            lam_hi[s + j] = sol.lam_hi[b][cols]
-        for j in range(L - 1):
-            st = qp.stages[s + j]
-            x[s + j + 1] = st.A @ x[s + j] + st.B @ u[s + j] + qp.defect(s + j)
-    for s, L in cond.blocks:
-        for j in range(L - 1, 0, -1):
-            st = qp.stages[s + j]
-            pi[s + j] = st.Q @ x[s + j] + st.q + st.A.T @ pi[s + j + 1]
+    A, B, c, Q, q = _blocked(qp, M)[:5]
+    U = sol.u.reshape(nb, M, nu)
+    X = np.empty((nb, M, nx))
+    X[:, 0] = sol.x[:-1]
+    for j in range(M - 1):
+        X[:, j + 1] = _mv(A[:, j], X[:, j]) + _mv(B[:, j], U[:, j]) + c[:, j]
+    # column M holds the multiplier of the next block's first state
+    P = np.empty((nb, M + 1, nx))
+    P[:, 0] = sol.pi[:-1]
+    P[:, M] = sol.pi[1:]
+    for j in range(M - 1, 0, -1):
+        P[:, j] = _mv(Q[:, j], X[:, j]) + q[:, j] + _mtv(A[:, j], P[:, j + 1])
     out = QpSolution(
-        x=x,
-        u=u,
-        pi=pi,
-        lam_lo=lam_lo,
-        lam_hi=lam_hi,
+        x=np.concatenate([X.reshape(-1, nx)[:N], sol.x[-1:]]),
+        u=sol.u.reshape(-1, nu)[:N],
+        pi=np.concatenate([P[:, :M].reshape(-1, nx)[:N], sol.pi[-1:]]),
+        lam_lo=sol.lam_lo.reshape(-1, nu)[:N],
+        lam_hi=sol.lam_hi.reshape(-1, nu)[:N],
         iters=sol.iters,
         status=sol.status,
         linalg_us=sol.linalg_us,
@@ -342,20 +349,14 @@ def expand(sol: QpSolution, cond: CondensedQp) -> QpSolution:
 # ---------------------------------------------------------------------------
 
 
-def _chol_with_retry(G: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        return np.linalg.cholesky(G + _REGULARIZATION * np.eye(G.shape[0]))
-    except np.linalg.LinAlgError as exc:
-        raise QpNumericalError("recursion block not positive definite") from exc
-
-
-def _chol_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # solve (L L') z = rhs reusing the factor
-    return sla.cho_solve((L, True), rhs, check_finite=False)
+def _cholesky(G: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of ``G``, retried once with regularization."""
+    L, info = dpotrf(G, lower=1)
+    if info:
+        L, info = dpotrf(G + _REGULARIZATION * np.eye(G.shape[0]), lower=1)
+        if info:
+            raise QpNumericalError("recursion block not positive definite")
+    return L
 
 
 class _RiccatiSweep:
@@ -365,60 +366,59 @@ class _RiccatiSweep:
     sweep serves both the predictor and the corrector right-hand sides.
     """
 
-    def __init__(self, qp: OcpQp, R_bar: list):
-        N = qp.num_stages
+    def __init__(self, qp: OcpQp, R_bar: np.ndarray):
+        N, nx, nu = qp.B.shape
+        A, B, S, Q = qp.A, qp.B, qp.S, qp.Q
         self.qp = qp
-        self.P = [None] * (N + 1)
-        self.L = [None] * N
-        self.K = [None] * N
-        self.H = [None] * N
-        self.P[N] = qp.Q_N
+        self.P = P = np.empty((N + 1, nx, nx))
+        self.L = np.empty((N, nu, nu))
+        self.K = np.empty((N, nu, nx))
+        self.H = np.empty((N, nu, nx))
+        P[N] = qp.Q_N
         for i in range(N - 1, -1, -1):
-            st = qp.stages[i]
-            Pn = self.P[i + 1]
-            PB = Pn @ st.B
-            G = R_bar[i] + st.B.T @ PB
-            H = st.S + PB.T @ st.A
-            L = _chol_with_retry(0.5 * (G + G.T))
-            K = -_chol_solve(L, H)
-            P = st.Q + st.A.T @ (Pn @ st.A) + H.T @ K
+            Pn = P[i + 1]
+            PB = Pn @ B[i]
+            G = R_bar[i] + B[i].T @ PB
+            H = S[i] + PB.T @ A[i]
+            L = _cholesky(0.5 * (G + G.T))
+            K = -dpotrs(L, H, lower=1)[0]
+            Pi = Q[i] + A[i].T @ (Pn @ A[i]) + H.T @ K
             self.L[i] = L
             self.K[i] = K
             self.H[i] = H
-            self.P[i] = 0.5 * (P + P.T)
+            P[i] = 0.5 * (Pi + Pi.T)
 
     def solve(self, rx, ru, re):
         """Newton direction for right-hand sides (−rx, −ru, −re)."""
-        qp = self.qp
-        N = qp.num_stages
-        p = [None] * (N + 1)
-        k = [None] * N
+        A, B = self.qp.A, self.qp.B
+        P, L, K, H = self.P, self.L, self.K, self.H
+        N = len(L)
+        Pre = _mv(P[1:], re[1:])
+        p = np.empty_like(rx)
+        k = np.empty_like(ru)
         p[N] = rx[N]
         for i in range(N - 1, -1, -1):
-            st = qp.stages[i]
-            m1 = p[i + 1] - self.P[i + 1] @ re[i + 1]
-            g = ru[i] + st.B.T @ m1
-            k[i] = -_chol_solve(self.L[i], g)
-            p[i] = rx[i] + st.A.T @ m1 + self.H[i].T @ k[i]
-        dx = np.zeros((N + 1, qp.nx))
-        du = [None] * N
-        dpi = np.zeros((N + 1, qp.nx))
+            m1 = p[i + 1] - Pre[i]
+            k[i] = -dpotrs(L[i], ru[i] + B[i].T @ m1, lower=1)[0]
+            p[i] = rx[i] + A[i].T @ m1 + H[i].T @ k[i]
+        dx = np.empty_like(rx)
+        du = np.empty_like(ru)
         dx[0] = -re[0]
-        dpi[0] = self.P[0] @ dx[0] + p[0]
         for i in range(N):
-            st = qp.stages[i]
-            du[i] = self.K[i] @ dx[i] + k[i]
-            dx[i + 1] = st.A @ dx[i] + st.B @ du[i] - re[i + 1]
-            dpi[i + 1] = self.P[i + 1] @ dx[i + 1] + p[i + 1]
-        return dx, du, dpi
+            du[i] = K[i] @ dx[i] + k[i]
+            dx[i + 1] = A[i] @ dx[i] + B[i] @ du[i] - re[i + 1]
+        return dx, du, _mv(P, dx) + p
 
 
-def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
-    """Largest alpha with v + alpha dv >= 0, for strictly positive v."""
-    neg = dv < 0
-    if not np.any(neg):
-        return np.inf
-    return float(np.min(-v[neg] / dv[neg]))
+def _step_to_boundary(v, dv) -> float:
+    """Largest alpha with ``v + alpha dv >= 0`` in every entry, for strictly positive ``v``.
+
+    ``v`` and ``dv`` are sequences of equally shaped arrays; the result
+    is infinite when no entry of ``dv`` is negative.
+    """
+    v = np.stack(v)
+    dv = np.stack(dv)
+    return float(np.min(-v / dv, where=dv < 0, initial=np.inf))
 
 
 def solve_riccati_ipm(qp: OcpQp, tol: float = 1e-8, max_iters: int = 50) -> QpSolution:
@@ -442,47 +442,35 @@ def solve_riccati_ipm(qp: OcpQp, tol: float = 1e-8, max_iters: int = 50) -> QpSo
 
 
 def _riccati_ipm(qp: OcpQp, tol: float, max_iters: int) -> QpSolution:
-    import time as _time
-
     linalg_ns = 0
-    N = qp.num_stages
-    nx = qp.nx
-    defects = [qp.defect(i) for i in range(N)]
-    lbs = [st.lb for st in qp.stages]
-    ubs = [st.ub for st in qp.stages]
-    n_bnd = sum(st.nu for st in qp.stages)
+    N, nx, nu = qp.B.shape
+    c = qp.defects()
+    lb, ub = qp.lb, qp.ub
+    n_bnd = N * nu
+    diag = np.arange(nu)
 
     # strictly interior start at the bound midpoints, rolled out feasibly
-    u = [0.5 * (lo + hi) for lo, hi in zip(lbs, ubs)]
-    x = np.zeros((N + 1, nx))
+    u = 0.5 * (lb + ub)
+    x = np.empty((N + 1, nx))
     x[0] = qp.x0_residual
-    for i, st in enumerate(qp.stages):
-        x[i + 1] = st.A @ x[i] + st.B @ u[i] + defects[i]
+    for i in range(N):
+        x[i + 1] = qp.A[i] @ x[i] + qp.B[i] @ u[i] + c[i]
     pi = np.zeros((N + 1, nx))
-    lam_lo = [1.0 / np.maximum(u[i] - lbs[i], 1e-2) for i in range(N)]
-    lam_hi = [1.0 / np.maximum(ubs[i] - u[i], 1e-2) for i in range(N)]
+    lam_lo = 1.0 / np.maximum(u - lb, 1e-2)
+    lam_hi = 1.0 / np.maximum(ub - u, 1e-2)
 
     status = "max_iterations"
     iters = 0
     for iters in range(max_iters + 1):
-        rx = np.zeros((N + 1, nx))
-        ru = [None] * N
-        re = np.zeros((N + 1, nx))
-        re[0] = x[0] - qp.x0_residual
-        sl = [u[i] - lbs[i] for i in range(N)]
-        su = [ubs[i] - u[i] for i in range(N)]
-        for i, st in enumerate(qp.stages):
-            rx[i] = st.Q @ x[i] + st.S.T @ u[i] + st.q + st.A.T @ pi[i + 1] - pi[i]
-            ru[i] = st.R @ u[i] + st.S @ x[i] + st.r + st.B.T @ pi[i + 1] - lam_lo[i] + lam_hi[i]
-            re[i + 1] = x[i + 1] - st.A @ x[i] - st.B @ u[i] - defects[i]
-        rx[N] = qp.Q_N @ x[N] + qp.q_N - pi[N]
+        sl = u - lb
+        su = ub - u
+        rx, ru, re = _residuals(qp, c, x, u, pi, lam_lo, lam_hi)
+        rcl = lam_lo * sl
+        rcu = lam_hi * su
 
-        stat_norm = max(np.abs(rx).max(), max(np.abs(v).max() for v in ru))
+        stat_norm = max(np.abs(rx).max(), np.abs(ru).max())
         eq_norm = np.abs(re).max()
-        compl_norm = max(
-            max(np.abs(lam_lo[i] * sl[i]).max() for i in range(N)),
-            max(np.abs(lam_hi[i] * su[i]).max() for i in range(N)),
-        )
+        compl_norm = max(np.abs(rcl).max(), np.abs(rcu).max())
         if not np.isfinite(stat_norm + eq_norm + compl_norm):
             raise QpNumericalError("non-finite values encountered in interior-point iterate")
         if stat_norm <= tol and eq_norm <= tol and compl_norm <= tol:
@@ -491,74 +479,51 @@ def _riccati_ipm(qp: OcpQp, tol: float, max_iters: int) -> QpSolution:
         if iters == max_iters:
             break
 
-        mu = (
-            sum(float(lam_lo[i] @ sl[i] + lam_hi[i] @ su[i]) for i in range(N)) / (2 * n_bnd)
-        )
-        R_bar = [
-            qp.stages[i].R + np.diag(lam_lo[i] / sl[i] + lam_hi[i] / su[i]) for i in range(N)
-        ]
-        t0 = _time.perf_counter_ns()
+        mu = float(rcl.sum() + rcu.sum()) / (2 * n_bnd)
+        R_bar = qp.R.copy()
+        R_bar[:, diag, diag] += lam_lo / sl + lam_hi / su
+        t0 = time.perf_counter_ns()
         sweep = _RiccatiSweep(qp, R_bar)
-        linalg_ns += _time.perf_counter_ns() - t0
+        linalg_ns += time.perf_counter_ns() - t0
 
         # predictor: pure Newton step on the unperturbed KKT system
-        rcl = [lam_lo[i] * sl[i] for i in range(N)]
-        rcu = [lam_hi[i] * su[i] for i in range(N)]
-        ru_eff = [ru[i] + rcl[i] / sl[i] - rcu[i] / su[i] for i in range(N)]
-        t0 = _time.perf_counter_ns()
+        ru_eff = ru + rcl / sl - rcu / su
+        t0 = time.perf_counter_ns()
         dx_a, du_a, dpi_a = sweep.solve(rx, ru_eff, re)
-        linalg_ns += _time.perf_counter_ns() - t0
-        dll_a = [-(rcl[i] + lam_lo[i] * du_a[i]) / sl[i] for i in range(N)]
-        dlh_a = [-(rcu[i] - lam_hi[i] * du_a[i]) / su[i] for i in range(N)]
+        linalg_ns += time.perf_counter_ns() - t0
+        dll_a = -(rcl + lam_lo * du_a) / sl
+        dlh_a = -(rcu - lam_hi * du_a) / su
 
-        alpha_aff = 1.0
-        for i in range(N):
-            alpha_aff = min(
-                alpha_aff,
-                _max_step(sl[i], du_a[i]),
-                _max_step(su[i], -du_a[i]),
-                _max_step(lam_lo[i], dll_a[i]),
-                _max_step(lam_hi[i], dlh_a[i]),
-            )
-        mu_aff = (
-            sum(
-                float(
-                    (lam_lo[i] + alpha_aff * dll_a[i]) @ (sl[i] + alpha_aff * du_a[i])
-                    + (lam_hi[i] + alpha_aff * dlh_a[i]) @ (su[i] - alpha_aff * du_a[i])
-                )
-                for i in range(N)
-            )
-            / (2 * n_bnd)
+        alpha_aff = min(
+            1.0, _step_to_boundary((sl, su, lam_lo, lam_hi), (du_a, -du_a, dll_a, dlh_a))
         )
+        mu_aff = float(
+            ((lam_lo + alpha_aff * dll_a) * (sl + alpha_aff * du_a)).sum()
+            + ((lam_hi + alpha_aff * dlh_a) * (su - alpha_aff * du_a)).sum()
+        ) / (2 * n_bnd)
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
         # corrector: recentered with Mehrotra second-order terms
-        rcl = [rcl[i] + du_a[i] * dll_a[i] - sigma * mu for i in range(N)]
-        rcu = [rcu[i] - du_a[i] * dlh_a[i] - sigma * mu for i in range(N)]
-        ru_eff = [ru[i] + rcl[i] / sl[i] - rcu[i] / su[i] for i in range(N)]
-        t0 = _time.perf_counter_ns()
+        rcl = rcl + du_a * dll_a - sigma * mu
+        rcu = rcu - du_a * dlh_a - sigma * mu
+        ru_eff = ru + rcl / sl - rcu / su
+        t0 = time.perf_counter_ns()
         dx, du, dpi = sweep.solve(rx, ru_eff, re)
-        linalg_ns += _time.perf_counter_ns() - t0
-        dll = [-(rcl[i] + lam_lo[i] * du[i]) / sl[i] for i in range(N)]
-        dlh = [-(rcu[i] - lam_hi[i] * du[i]) / su[i] for i in range(N)]
+        linalg_ns += time.perf_counter_ns() - t0
+        dll = -(rcl + lam_lo * du) / sl
+        dlh = -(rcu - lam_hi * du) / su
 
-        alpha = 1.0 / _FRACTION_TO_BOUNDARY
-        for i in range(N):
-            alpha = min(
-                alpha,
-                _max_step(sl[i], du[i]),
-                _max_step(su[i], -du[i]),
-                _max_step(lam_lo[i], dll[i]),
-                _max_step(lam_hi[i], dlh[i]),
-            )
+        alpha = min(
+            1.0 / _FRACTION_TO_BOUNDARY,
+            _step_to_boundary((sl, su, lam_lo, lam_hi), (du, -du, dll, dlh)),
+        )
         alpha = min(1.0, _FRACTION_TO_BOUNDARY * alpha)
 
         x = x + alpha * dx
         pi = pi + alpha * dpi
-        for i in range(N):
-            u[i] = u[i] + alpha * du[i]
-            lam_lo[i] = lam_lo[i] + alpha * dll[i]
-            lam_hi[i] = lam_hi[i] + alpha * dlh[i]
+        u = u + alpha * du
+        lam_lo = lam_lo + alpha * dll
+        lam_hi = lam_hi + alpha * dlh
 
     sol = QpSolution(
         x=x,
@@ -579,19 +544,12 @@ def _riccati_ipm(qp: OcpQp, tol: float, max_iters: int) -> QpSolution:
 # ---------------------------------------------------------------------------
 
 
-def _solve_box_qp_dense(H, g, lb, ub, tol, max_iters):
+def _box_qp_dense(H, g, lb, ub, tol, max_iters):
     """Mehrotra interior point for ``min 0.5 z'Hz + g'z, lb <= z <= ub``.
 
     Dense normal equations, one Cholesky-backed solve per predictor and
-    corrector step. Returns ``(z, lam_lo, lam_hi, iters, status)``.
+    corrector step. Returns ``(z, lam_lo, lam_hi, iters, status, linalg_us)``.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _box_qp_dense(H, g, lb, ub, tol, max_iters)
-
-
-def _box_qp_dense(H, g, lb, ub, tol, max_iters):
-    import time as _time
-
     linalg_ns = 0
     n = H.shape[0]
     z = 0.5 * (lb + ub)
@@ -613,7 +571,7 @@ def _box_qp_dense(H, g, lb, ub, tol, max_iters):
             break
         mu = float(lam_lo @ sl + lam_hi @ su) / (2 * n)
         D = lam_lo / sl + lam_hi / su
-        t0 = _time.perf_counter_ns()
+        t0 = time.perf_counter_ns()
         M = H.copy()
         M.flat[:: n + 1] += D
         try:
@@ -624,21 +582,17 @@ def _box_qp_dense(H, g, lb, ub, tol, max_iters):
                 L = np.linalg.cholesky(M)
             except np.linalg.LinAlgError as exc:
                 raise QpNumericalError("dense Newton matrix not positive definite") from exc
-        linalg_ns += _time.perf_counter_ns() - t0
+        linalg_ns += time.perf_counter_ns() - t0
 
         rcl = lam_lo * sl
         rcu = lam_hi * su
-        t0 = _time.perf_counter_ns()
-        dz_a = -_chol_solve(L, r + rcl / sl - rcu / su)
-        linalg_ns += _time.perf_counter_ns() - t0
+        t0 = time.perf_counter_ns()
+        dz_a = -sla.cho_solve((L, True), r + rcl / sl - rcu / su, check_finite=False)
+        linalg_ns += time.perf_counter_ns() - t0
         dll_a = -(rcl + lam_lo * dz_a) / sl
         dlh_a = -(rcu - lam_hi * dz_a) / su
         alpha_aff = min(
-            1.0,
-            _max_step(sl, dz_a),
-            _max_step(su, -dz_a),
-            _max_step(lam_lo, dll_a),
-            _max_step(lam_hi, dlh_a),
+            1.0, _step_to_boundary((sl, su, lam_lo, lam_hi), (dz_a, -dz_a, dll_a, dlh_a))
         )
         mu_aff = (
             float(
@@ -651,25 +605,56 @@ def _box_qp_dense(H, g, lb, ub, tol, max_iters):
 
         rcl = rcl + dz_a * dll_a - sigma * mu
         rcu = rcu - dz_a * dlh_a - sigma * mu
-        t0 = _time.perf_counter_ns()
-        dz = -_chol_solve(L, r + rcl / sl - rcu / su)
-        linalg_ns += _time.perf_counter_ns() - t0
+        t0 = time.perf_counter_ns()
+        dz = -sla.cho_solve((L, True), r + rcl / sl - rcu / su, check_finite=False)
+        linalg_ns += time.perf_counter_ns() - t0
         dll = -(rcl + lam_lo * dz) / sl
         dlh = -(rcu - lam_hi * dz) / su
         alpha = min(
             1.0,
             _FRACTION_TO_BOUNDARY
-            * min(
-                _max_step(sl, dz),
-                _max_step(su, -dz),
-                _max_step(lam_lo, dll),
-                _max_step(lam_hi, dlh),
-            ),
+            * _step_to_boundary((sl, su, lam_lo, lam_hi), (dz, -dz, dll, dlh)),
         )
         z = z + alpha * dz
         lam_lo = lam_lo + alpha * dll
         lam_hi = lam_hi + alpha * dlh
     return z, lam_lo, lam_hi, iters, status, linalg_ns / 1000.0
+
+
+def solve_condensed_dense(cqp: OcpQp, tol: float = 1e-8, max_iters: int = 50) -> QpSolution:
+    """Solve a fully condensed QP (one stage plus the terminal state) densely.
+
+    The fixed initial state and the terminal state are substituted out,
+    and the remaining box QP in the stacked inputs is solved by a dense
+    interior point with Cholesky factorizations. The solution is that of
+    ``cqp``; :func:`expand` maps it back to the original stages.
+    """
+    if cqp.num_stages != 1:
+        raise ValueError("the dense solver expects a fully condensed QP")
+    A, B, S, Q = cqp.A[0], cqp.B[0], cqp.S[0], cqp.Q[0]
+    b0 = cqp.x0_residual
+    c0 = cqp.defects()[0]
+    H = cqp.R[0] + B.T @ (cqp.Q_N @ B)
+    H = 0.5 * (H + H.T)
+    g = cqp.r[0] + S @ b0 + B.T @ (cqp.Q_N @ (A @ b0 + c0) + cqp.q_N)
+    # slack collapse on pathological data is caught by the finite check
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        U, lam_lo, lam_hi, iters, status, linalg_us = _box_qp_dense(
+            H, g, cqp.lb[0], cqp.ub[0], tol, max_iters
+        )
+    xN = A @ b0 + B @ U + c0
+    piN = cqp.Q_N @ xN + cqp.q_N
+    pi0 = Q @ b0 + S.T @ U + cqp.q[0] + A.T @ piN
+    return QpSolution(
+        x=np.array([b0, xN]),
+        u=U[None],
+        pi=np.array([pi0, piN]),
+        lam_lo=lam_lo[None],
+        lam_hi=lam_hi[None],
+        iters=iters,
+        status=status,
+        linalg_us=linalg_us,
+    )
 
 
 def solve_dense_ipm(qp: OcpQp, tol: float = 1e-8, max_iters: int = 50) -> QpSolution:
@@ -681,28 +666,4 @@ def solve_dense_ipm(qp: OcpQp, tol: float = 1e-8, max_iters: int = 50) -> QpSolu
     solution is reconstructed.
     """
     cond = partial_condense(qp, qp.num_stages)
-    cqp = cond.qp
-    st = cqp.stages[0]
-    b0 = cqp.x0_residual
-    c0 = cqp.defect(0)
-    # substitute the fixed initial state and the terminal state out
-    H = st.R + st.B.T @ (cqp.Q_N @ st.B)
-    H = 0.5 * (H + H.T)
-    g = st.r + st.S @ b0 + st.B.T @ (cqp.Q_N @ (st.A @ b0 + c0) + cqp.q_N)
-    U, lam_lo, lam_hi, iters, status, linalg_us = _solve_box_qp_dense(
-        H, g, st.lb, st.ub, tol, max_iters
-    )
-    xN = st.A @ b0 + st.B @ U + c0
-    piN = cqp.Q_N @ xN + cqp.q_N
-    pi0 = st.Q @ b0 + st.S.T @ U + st.q + st.A.T @ piN
-    csol = QpSolution(
-        x=np.array([b0, xN]),
-        u=[U],
-        pi=np.array([pi0, piN]),
-        lam_lo=[lam_lo],
-        lam_hi=[lam_hi],
-        iters=iters,
-        status=status,
-        linalg_us=linalg_us,
-    )
-    return expand(csol, cond)
+    return expand(solve_condensed_dense(cond.qp, tol, max_iters), cond)

@@ -25,8 +25,8 @@ from .qp import (
     expand,
     kkt_residuals,
     partial_condense,
+    solve_condensed_dense,
     solve_riccati_ipm,
-    _solve_box_qp_dense,
 )
 
 
@@ -75,33 +75,6 @@ def _normalize_guess_attitudes(X: np.ndarray) -> None:
         q[bad] = (1.0, 0.0, 0.0, 0.0)
         norms[bad] = 1.0
     q /= norms[:, None]
-
-
-def _solve_condensed_dense(cond: CondensedQp, tol, max_iters) -> QpSolution:
-    """Dense solve of an already fully condensed QP (single block + terminal)."""
-    cqp = cond.qp
-    st = cqp.stages[0]
-    b0 = cqp.x0_residual
-    c0 = cqp.defect(0)
-    H = st.R + st.B.T @ (cqp.Q_N @ st.B)
-    H = 0.5 * (H + H.T)
-    g = st.r + st.S @ b0 + st.B.T @ (cqp.Q_N @ (st.A @ b0 + c0) + cqp.q_N)
-    U, lam_lo, lam_hi, iters, status, linalg_us = _solve_box_qp_dense(
-        H, g, st.lb, st.ub, tol, max_iters
-    )
-    xN = st.A @ b0 + st.B @ U + c0
-    piN = cqp.Q_N @ xN + cqp.q_N
-    pi0 = st.Q @ b0 + st.S.T @ U + st.q + st.A.T @ piN
-    return QpSolution(
-        x=np.array([b0, xN]),
-        u=[U],
-        pi=np.array([pi0, piN]),
-        lam_lo=[lam_lo],
-        lam_hi=[lam_hi],
-        iters=iters,
-        status=status,
-        linalg_us=linalg_us,
-    )
 
 
 class RtiController:
@@ -178,7 +151,7 @@ class RtiController:
         step_norm = np.nan
         try:
             if self.solver == "dense":
-                csol = _solve_condensed_dense(cond, self.qp_tol, self.qp_max_iters)
+                csol = solve_condensed_dense(cond.qp, self.qp_tol, self.qp_max_iters)
             else:
                 csol = solve_riccati_ipm(cond.qp, self.qp_tol, self.qp_max_iters)
             sol = expand(csol, cond)
@@ -186,10 +159,9 @@ class RtiController:
             qp_iters = sol.iters
             qp_linalg_us = sol.linalg_us
             kkt_stat = sol.residuals.stationarity
-            dU = np.array(sol.u)
-            step_norm = max(np.abs(sol.x).max(), np.abs(dU).max())
+            step_norm = max(np.abs(sol.x).max(), np.abs(sol.u).max())
             self.X = self.X + sol.x
-            self.U = self.U + dU
+            self.U = self.U + sol.u
             _normalize_guess_attitudes(self.X)
         except QpNumericalError:
             degraded = True
@@ -268,8 +240,8 @@ def solve_to_convergence(
     X = np.tile(xi0, (N + 1, 1))
     U = np.tile(cfg.params.hover_input(), (N, 1))
     pi = np.zeros((N + 1, dyn.NX))
-    lam_lo = [np.zeros(dyn.NU) for _ in range(N)]
-    lam_hi = [np.zeros(dyn.NU) for _ in range(N)]
+    lam_lo = np.zeros((N, dyn.NU))
+    lam_hi = np.zeros((N, dyn.NU))
 
     Wx = cfg.W[: dyn.NX]
     Wu = cfg.W[dyn.NX :]
@@ -289,7 +261,7 @@ def solve_to_convergence(
         qp = build_qp(X, U, refs, xi0, cfg)
         zero_step = QpSolution(
             x=np.zeros((N + 1, dyn.NX)),
-            u=[np.zeros(dyn.NU) for _ in range(N)],
+            u=np.zeros((N, dyn.NU)),
             pi=pi,
             lam_lo=lam_lo,
             lam_hi=lam_hi,
@@ -309,7 +281,6 @@ def solve_to_convergence(
             break
         cond = partial_condense(qp, min(block_size, N))
         sol = expand(solve_riccati_ipm(cond.qp, tol=1e-9, max_iters=60), cond)
-        dU = np.array(sol.u)
 
         # exact-penalty weight must dominate the equality multipliers
         sigma = max(sigma, 2.0 * np.abs(sol.pi).max())
@@ -317,7 +288,7 @@ def solve_to_convergence(
         alpha = 1.0
         accepted = False
         while alpha >= 2.0**-16:
-            if merit(X + alpha * sol.x, U + alpha * dU, sigma) < phi0:
+            if merit(X + alpha * sol.x, U + alpha * sol.u, sigma) < phi0:
                 accepted = True
                 break
             alpha *= 0.5
@@ -326,10 +297,10 @@ def solve_to_convergence(
                 f"line search stalled at KKT residual {res.max():.3e}", history
             )
         X = X + alpha * sol.x
-        U = U + alpha * dU
+        U = U + alpha * sol.u
         pi = pi + alpha * (sol.pi - pi)
-        lam_lo = [l + alpha * (n - l) for l, n in zip(lam_lo, sol.lam_lo)]
-        lam_hi = [l + alpha * (n - l) for l, n in zip(lam_hi, sol.lam_hi)]
+        lam_lo = lam_lo + alpha * (sol.lam_lo - lam_lo)
+        lam_hi = lam_hi + alpha * (sol.lam_hi - lam_hi)
     raise SqpConvergenceError(
         f"SQP did not reach KKT tolerance {kkt_tol:g} in {max_sqp_iters} iterations "
         f"(last residual {history[-1]:.3e})",

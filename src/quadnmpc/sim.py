@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -424,8 +425,6 @@ def run_closed_loop(cfg: SimConfig) -> SimTrace:
     fallbacks = 0
     failure = None
 
-    import time as _time
-
     for k in range(n_cycles):
         t = k * tau_s
         truth = history.at(t)
@@ -461,9 +460,9 @@ def run_closed_loop(cfg: SimConfig) -> SimTrace:
             qp_linalg_us = out.qp_linalg_us
             kkt_stat = out.kkt_stationarity
         else:
-            t0 = _time.perf_counter_ns()
+            t0 = time.perf_counter_ns()
             u_cmd = lqr_control(lqr_design, est, p_ref=source.position(t))
-            fb_us = (_time.perf_counter_ns() - t0) / 1000.0
+            fb_us = (time.perf_counter_ns() - t0) / 1000.0
             prep_us, qp_iters, step_norm, degraded = 0.0, 0, 0.0, False
             qp_linalg_us = 0.0
             kkt_stat = 0.0
@@ -492,6 +491,8 @@ def run_closed_loop(cfg: SimConfig) -> SimTrace:
             x[dyn.QUAT] = dyn.quat_normalize(x[dyn.QUAT])
             history.push(s + h, x)
         buffer.trim(t - max(tau_r, tau_s))
+        # the next cycle looks up the state at its own time and tau1 earlier
+        history.trim((k + 1) * tau_s - tau1)
 
         if not np.isfinite(x).all() or np.abs(x[dyn.POS]).max() > cfg.envelope_m:
             failure = f"plant left the sanity envelope at t={t + tau_s:.3f} s"

@@ -35,7 +35,7 @@ def stack_qp_dense(qp):
     """
     nx = qp.nx
     N = qp.num_stages
-    dims_u = [qp.stages[i].R.shape[0] for i in range(N)]
+    dims_u = [qp.nu] * N
     offs_x = []
     offs_u = []
     off = 0
@@ -49,14 +49,14 @@ def stack_qp_dense(qp):
 
     H = np.zeros((nz, nz))
     g = np.zeros(nz)
-    for i, st in enumerate(qp.stages):
+    for i in range(N):
         ix, iu, mu = offs_x[i], offs_u[i], dims_u[i]
-        H[ix : ix + nx, ix : ix + nx] = st.Q
-        H[iu : iu + mu, iu : iu + mu] = st.R
-        H[iu : iu + mu, ix : ix + nx] = st.S
-        H[ix : ix + nx, iu : iu + mu] = st.S.T
-        g[ix : ix + nx] = st.q
-        g[iu : iu + mu] = st.r
+        H[ix : ix + nx, ix : ix + nx] = qp.Q[i]
+        H[iu : iu + mu, iu : iu + mu] = qp.R[i]
+        H[iu : iu + mu, ix : ix + nx] = qp.S[i]
+        H[ix : ix + nx, iu : iu + mu] = qp.S[i].T
+        g[ix : ix + nx] = qp.q[i]
+        g[iu : iu + mu] = qp.r[i]
     ixN = offs_x[N]
     H[ixN : ixN + nx, ixN : ixN + nx] = qp.Q_N
     g[ixN : ixN + nx] = qp.q_N
@@ -66,22 +66,23 @@ def stack_qp_dense(qp):
     e = np.zeros(ne)
     E[:nx, :nx] = np.eye(nx)
     e[:nx] = qp.x0_residual
-    for i, st in enumerate(qp.stages):
+    defects = qp.defects()
+    for i in range(N):
         r0 = nx * (i + 1)
         ix, iu, mu = offs_x[i], offs_u[i], dims_u[i]
         E[r0 : r0 + nx, offs_x[i + 1] : offs_x[i + 1] + nx] = np.eye(nx)
-        E[r0 : r0 + nx, ix : ix + nx] = -st.A
-        E[r0 : r0 + nx, iu : iu + mu] = -st.B
-        e[r0 : r0 + nx] = qp.defect(i)
+        E[r0 : r0 + nx, ix : ix + nx] = -qp.A[i]
+        E[r0 : r0 + nx, iu : iu + mu] = -qp.B[i]
+        e[r0 : r0 + nx] = defects[i]
 
     lb_idx = []
     lb = []
     ub = []
-    for i, st in enumerate(qp.stages):
+    for i in range(N):
         for j in range(dims_u[i]):
             lb_idx.append(offs_u[i] + j)
-            lb.append(st.lb[j])
-            ub.append(st.ub[j])
+            lb.append(qp.lb[i, j])
+            ub.append(qp.ub[i, j])
     return H, g, E, e, np.array(lb_idx), np.array(lb), np.array(ub)
 
 
@@ -157,11 +158,10 @@ def dense_primal_from_qp(qp, z):
     xs = []
     us = []
     off = 0
-    for st in qp.stages:
+    for _ in range(qp.num_stages):
         xs.append(z[off : off + nx])
         off += nx
-        mu = st.R.shape[0]
-        us.append(z[off : off + mu])
-        off += mu
+        us.append(z[off : off + qp.nu])
+        off += qp.nu
     xs.append(z[off : off + nx])
     return xs, us

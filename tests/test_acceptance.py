@@ -179,9 +179,10 @@ class TestCriterion04CondensingEquivalence:
                 reference = U
             worst = max(worst, np.abs(U - reference).max())
         cond1 = partial_condense(qp, 1)
-        identity_ok = all(
-            np.array_equal(a.A, b.A) and np.array_equal(a.B, b.B) and np.array_equal(a.q, b.q)
-            for a, b in zip(cond1.qp.stages, qp.stages)
+        identity_ok = (
+            np.array_equal(cond1.qp.A, qp.A)
+            and np.array_equal(cond1.qp.B, qp.B)
+            and np.array_equal(cond1.qp.q, qp.q)
         )
         ok = report(
             4,

@@ -54,6 +54,23 @@ class TestBuffers:
         np.testing.assert_allclose(buf.at(0.05), 3.0)
         assert len(buf) < 10
 
+    def test_trimmed_lookups_equal_untrimmed(self, rng):
+        # grid times accumulated like the simulator's micro-steps
+        times = [-1.0] + [k * 0.015 + j * 1e-3 + 1e-3 for k in range(20) for j in range(15)]
+        for make in (StateHistory, InputBuffer):
+            full, trimmed = make(), make()
+            for t in times:
+                value = rng.normal(size=13)
+                full.push(t, value)
+                trimmed.push(t, value)
+            for t_keep in (-2.0, -1.0, 0.0, 0.06, 0.15 - 0.06, 0.1234, times[-1], 5.0):
+                trimmed.trim(t_keep)
+                probes = [t_keep, t_keep + 1e-10, t_keep + 7e-4, times[-1], times[-1] + 1.0]
+                probes += [t for t in times if t >= t_keep]
+                for t in probes:
+                    np.testing.assert_array_equal(trimmed.at(t), full.at(t))
+            assert len(trimmed) == 1
+
     def test_empty_buffer_returns_none(self):
         assert InputBuffer().at(0.0) is None
 

@@ -137,6 +137,31 @@ class TestOde:
         for i in range(16):
             np.testing.assert_allclose(batch[i], ode_rhs(XI[i], U[i], params), atol=1e-14)
 
+    def test_cross_products_equal_np_cross_exactly(self, params, rng):
+        # reference: the velocity and rate rows written with np.cross
+        XI = np.array([random_state(rng, vel_scale=3.0, rate_scale=10.0) for _ in range(64)])
+        U = rng.uniform(0, 22, (64, 4))
+        J = params.inertia
+        batch = ode_rhs_batch(XI, U, params)
+        for i in range(64):
+            v, w = XI[i, 7:10], XI[i, 10:13]
+            fb, mb = forces_moments(U[i], params)
+            R = quat_to_rotmat(XI[i, 3:7])
+            dv = fb / params.m - params.g * R[2, :] - np.cross(w, v)
+            dw = (mb - np.cross(w, J * w)) / J
+            single = ode_rhs(XI[i], U[i], params)
+            np.testing.assert_array_equal(single[7:10], dv)
+            np.testing.assert_array_equal(single[10:13], dw)
+        W = XI[:, 10:13]
+        dv_batch = -params.g * np.array([quat_to_rotmat(q)[2] for q in XI[:, 3:7]])
+        dv_batch = dv_batch - np.cross(W, XI[:, 7:10])
+        dv_batch[:, 2] += params.CT * (U**2).sum(axis=1) / params.m
+        np.testing.assert_array_equal(batch[:, 7:10], dv_batch)
+        gyro = np.cross(W, W * J)
+        for i in range(64):
+            _, mb = forces_moments(U[i], params)
+            np.testing.assert_array_equal(batch[i, 10:13], (mb - gyro[i]) / J)
+
     def test_jacobians_match_finite_differences(self, params, rng):
         for _ in range(100):
             xi = random_state(rng)

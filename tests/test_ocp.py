@@ -133,11 +133,12 @@ class TestBuildQp:
         assert qp.num_stages == cfg.N
         xi = X[0]
         u = U[0]
-        for i, st in enumerate(qp.stages):
-            np.testing.assert_allclose(st.d, xi - st.A @ xi - st.B @ u, atol=1e-12)
-            np.testing.assert_allclose(st.q, 0, atol=1e-14)
-            np.testing.assert_allclose(st.r, 0, atol=1e-14)
-            np.testing.assert_allclose(qp.defect(i), 0, atol=1e-12)
+        defects = qp.defects()
+        for i in range(qp.num_stages):
+            np.testing.assert_allclose(qp.d[i], xi - qp.A[i] @ xi - qp.B[i] @ u, atol=1e-12)
+            np.testing.assert_allclose(qp.q[i], 0, atol=1e-14)
+            np.testing.assert_allclose(qp.r[i], 0, atol=1e-14)
+            np.testing.assert_allclose(defects[i], 0, atol=1e-12)
         np.testing.assert_allclose(qp.x0_residual, 0)
 
     def test_single_stage_horizon(self, params):
@@ -154,11 +155,11 @@ class TestBuildQp:
         qp = build_qp(X, U, refs, X[0], cfg)
         for i in (0, 7, cfg.N - 1):
             lin = linearize_stage(X[i], U[i], refs.stages[i], cfg)
-            np.testing.assert_allclose(qp.stages[i].A, lin.A, atol=1e-12)
-            np.testing.assert_allclose(qp.stages[i].B, lin.B, atol=1e-12)
-            np.testing.assert_allclose(qp.stages[i].d, lin.d, atol=1e-10)
-            np.testing.assert_allclose(qp.stages[i].q, lin.q, atol=1e-12)
-            np.testing.assert_allclose(qp.stages[i].r, lin.r, atol=1e-12)
+            np.testing.assert_allclose(qp.A[i], lin.A, atol=1e-12)
+            np.testing.assert_allclose(qp.B[i], lin.B, atol=1e-12)
+            np.testing.assert_allclose(qp.d[i], lin.d, atol=1e-10)
+            np.testing.assert_allclose(qp.q[i], lin.q, atol=1e-12)
+            np.testing.assert_allclose(qp.r[i], lin.r, atol=1e-12)
 
     def test_dimension_mismatch_raises(self, cfg):
         X, U = hover_guess(cfg)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     dense_primal_from_qp,
@@ -10,7 +12,6 @@ from oracles import (
 from quadnmpc.qp import (
     OcpQp,
     QpNumericalError,
-    QpStage,
     expand,
     kkt_residuals,
     partial_condense,
@@ -21,7 +22,7 @@ from quadnmpc.qp import (
 
 def make_random_qp(rng, N=4, nx=3, nu=2, bound_scale=1.0):
     """Random stage QP with PSD state cost, PD input cost, finite bounds."""
-    stages = []
+    stages = {key: [] for key in ("A", "B", "d", "Q", "R", "q", "r", "lb", "ub")}
     for _ in range(N):
         A = rng.normal(size=(nx, nx))
         A *= 0.9 / max(1.0, np.abs(np.linalg.eigvals(A)).max())
@@ -32,22 +33,22 @@ def make_random_qp(rng, N=4, nx=3, nu=2, bound_scale=1.0):
         R = Lr @ Lr.T + 0.5 * np.eye(nu)
         lb = rng.uniform(-2.0, -0.3, nu) * bound_scale
         ub = rng.uniform(0.3, 2.0, nu) * bound_scale
-        stages.append(
-            QpStage(
-                A=A,
-                B=B,
-                d=rng.normal(size=nx) * 0.2,
-                Q=Q,
-                R=R,
-                q=rng.normal(size=nx),
-                r=rng.normal(size=nu),
-                lb=lb,
-                ub=ub,
-            )
+        stage = dict(
+            A=A,
+            B=B,
+            d=rng.normal(size=nx) * 0.2,
+            Q=Q,
+            R=R,
+            q=rng.normal(size=nx),
+            r=rng.normal(size=nu),
+            lb=lb,
+            ub=ub,
         )
+        for key, value in stage.items():
+            stages[key].append(value)
     Lq = rng.normal(size=(nx, nx)) * 0.5
     return OcpQp(
-        stages=stages,
+        **{key: np.array(values) for key, values in stages.items()},
         Q_N=Lq @ Lq.T + 0.1 * np.eye(nx),
         q_N=rng.normal(size=nx),
         x0_residual=rng.normal(size=nx) * 0.5,
@@ -57,36 +58,30 @@ def make_random_qp(rng, N=4, nx=3, nu=2, bound_scale=1.0):
 class TestDataModel:
     def test_dimension_mismatch_raises(self, rng):
         qp = make_random_qp(rng)
-        st = qp.stages[0]
         with pytest.raises(ValueError):
-            QpStage(
-                A=st.A[:2, :2], B=st.B, d=st.d, Q=st.Q, R=st.R, q=st.q, r=st.r,
-                lb=st.lb, ub=st.ub,
-            )
+            OcpQp(**{**vars(qp), "A": qp.A[:, :2, :2]})
 
     def test_bounds_ordering_enforced(self, rng):
         qp = make_random_qp(rng)
-        st = qp.stages[0]
         with pytest.raises(ValueError):
-            QpStage(
-                A=st.A, B=st.B, d=st.d, Q=st.Q, R=st.R, q=st.q, r=st.r,
-                lb=st.ub, ub=st.lb,
-            )
+            OcpQp(**{**vars(qp), "lb": qp.ub, "ub": qp.lb})
 
     def test_defect_equals_d_for_zero_linearization(self, rng):
         qp = make_random_qp(rng)
-        for i, st in enumerate(qp.stages):
-            np.testing.assert_allclose(qp.defect(i), st.d)
+        defects = qp.defects()
+        for i in range(qp.num_stages):
+            np.testing.assert_allclose(defects[i], qp.d[i])
 
     def test_affine_model_reconstructs_f_at_linearization_point(self, rng):
         # with xbar/ubar attached, A xbar + B ubar + d must equal the
         # stored next-state prediction defect + xbar_next
         qp = make_random_qp(rng, N=3)
         qp.xbar = rng.normal(size=qp.xbar.shape)
-        qp.ubar = [rng.normal(size=2) for _ in range(3)]
-        for i, st in enumerate(qp.stages):
-            F = qp.defect(i) + qp.xbar[i + 1]
-            np.testing.assert_allclose(st.A @ qp.xbar[i] + st.B @ qp.ubar[i] + st.d, F)
+        qp.ubar = np.array([rng.normal(size=2) for _ in range(3)])
+        defects = qp.defects()
+        for i in range(qp.num_stages):
+            F = defects[i] + qp.xbar[i + 1]
+            np.testing.assert_allclose(qp.A[i] @ qp.xbar[i] + qp.B[i] @ qp.ubar[i] + qp.d[i], F)
 
 
 class TestRiccatiIpm:
@@ -103,19 +98,19 @@ class TestRiccatiIpm:
 
     def test_scalar_active_bound_by_hand(self):
         # min 0.5 u^2 + u  s.t. 0 <= u <= 22  ->  u* = 0, lower multiplier 1
-        st = QpStage(
-            A=np.zeros((1, 1)),
-            B=np.zeros((1, 1)),
-            d=np.zeros(1),
-            Q=np.zeros((1, 1)),
-            R=np.eye(1),
-            q=np.zeros(1),
-            r=np.ones(1),
-            lb=np.zeros(1),
-            ub=np.full(1, 22.0),
-        )
         qp = OcpQp(
-            stages=[st], Q_N=np.zeros((1, 1)), q_N=np.zeros(1), x0_residual=np.zeros(1)
+            A=np.zeros((1, 1, 1)),
+            B=np.zeros((1, 1, 1)),
+            d=np.zeros((1, 1)),
+            Q=np.zeros((1, 1, 1)),
+            R=np.ones((1, 1, 1)),
+            q=np.zeros((1, 1)),
+            r=np.ones((1, 1)),
+            lb=np.zeros((1, 1)),
+            ub=np.full((1, 1), 22.0),
+            Q_N=np.zeros((1, 1)),
+            q_N=np.zeros(1),
+            x0_residual=np.zeros(1),
         )
         sol = solve_riccati_ipm(qp)
         assert sol.status == "converged"
@@ -125,10 +120,9 @@ class TestRiccatiIpm:
     def test_zero_data_solves_to_zero(self, rng):
         # a KKT point by construction: no gradients, no residuals
         qp = make_random_qp(rng, N=5)
-        for st in qp.stages:
-            st.q[:] = 0
-            st.r[:] = 0
-            st.d[:] = 0
+        qp.q[:] = 0
+        qp.r[:] = 0
+        qp.d[:] = 0
         qp.q_N[:] = 0
         qp.x0_residual[:] = 0
         sol = solve_riccati_ipm(qp, tol=1e-8)
@@ -154,7 +148,7 @@ class TestRiccatiIpm:
     def test_indefinite_raises_numerical_error(self, rng):
         # strongly concave input cost defeats the barrier diagonal immediately
         qp = make_random_qp(rng, N=2)
-        qp.stages[0].R[:] = -1e6 * np.eye(2)
+        qp.R[0] = -1e6 * np.eye(2)
         with pytest.raises(QpNumericalError):
             solve_riccati_ipm(qp)
 
@@ -197,14 +191,13 @@ class TestDenseIpm:
     def test_fully_saturated_instance(self, rng):
         # gradients push every input far beyond its upper bound
         qp = make_random_qp(rng, N=3)
-        for st in qp.stages:
-            st.S[:] = 0
-            st.B[:] = 0
-            st.r[:] = -100.0
+        qp.S[:] = 0
+        qp.B[:] = 0
+        qp.r[:] = -100.0
         qp.x0_residual[:] = 0
         sol = solve_dense_ipm(qp)
-        for st, u in zip(qp.stages, sol.u):
-            np.testing.assert_allclose(u, st.ub, atol=1e-6)
+        for ub, u in zip(qp.ub, sol.u):
+            np.testing.assert_allclose(u, ub, atol=1e-6)
 
 
 class TestCondensing:
@@ -219,15 +212,16 @@ class TestCondensing:
         qp = make_random_qp(rng, N=5)
         cond = partial_condense(qp, 1)
         assert cond.qp.num_stages == qp.num_stages
-        for st, ost in zip(cond.qp.stages, qp.stages):
-            np.testing.assert_allclose(st.A, ost.A)
-            np.testing.assert_allclose(st.B, ost.B)
-            np.testing.assert_allclose(st.Q, ost.Q)
-            np.testing.assert_allclose(st.R, ost.R)
-            np.testing.assert_allclose(st.q, ost.q)
-            np.testing.assert_allclose(st.r, ost.r)
-            np.testing.assert_allclose(st.d, ost.d)
-            np.testing.assert_allclose(st.S, 0.0)
+        c, o = cond.qp, qp
+        for i in range(qp.num_stages):
+            np.testing.assert_allclose(c.A[i], o.A[i])
+            np.testing.assert_allclose(c.B[i], o.B[i])
+            np.testing.assert_allclose(c.Q[i], o.Q[i])
+            np.testing.assert_allclose(c.R[i], o.R[i])
+            np.testing.assert_allclose(c.q[i], o.q[i])
+            np.testing.assert_allclose(c.r[i], o.r[i])
+            np.testing.assert_allclose(c.d[i], o.d[i])
+            np.testing.assert_allclose(c.S[i], 0.0)
 
     def test_stage_count_arithmetic(self, rng):
         qp = make_random_qp(rng, N=50, nx=2, nu=1)
@@ -294,6 +288,44 @@ class TestCondensing:
 
     def test_rejects_cross_terms(self, rng):
         qp = make_random_qp(rng, N=3)
-        qp.stages[1].S = np.ones_like(qp.stages[1].S)
+        qp.S[1] = 1.0
         with pytest.raises(ValueError):
             partial_condense(qp, 2)
+
+
+@st.composite
+def banded_qps(draw):
+    """A random banded QP with a block size in [1, N], ragged blocks included."""
+    N = draw(st.integers(1, 12))
+    M = draw(st.integers(1, N))
+    nx = draw(st.integers(1, 4))
+    nu = draw(st.integers(1, 3))
+    loose = draw(st.booleans())
+    seed = draw(st.integers(0, 2**32 - 1))
+    qp = make_random_qp(
+        np.random.default_rng(seed), N=N, nx=nx, nu=nu, bound_scale=1e6 if loose else 1.0
+    )
+    return qp, M, loose
+
+
+class TestCondensingProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(banded_qps())
+    def test_condense_solve_expand_matches_oracles(self, case):
+        qp, M, loose = case
+        cond = partial_condense(qp, M)
+        assert cond.qp.num_stages == -(-qp.num_stages // M)
+        sol = expand(solve_riccati_ipm(cond.qp), cond)
+        assert sol.status == "converged"
+        assert sol.u.shape == (qp.num_stages, qp.nu)
+        assert kkt_residuals(qp, sol).max() <= 1.5e-8
+        if loose:
+            H, g, E, e, *_ = stack_qp_dense(qp)
+            z, _ = solve_qp_equality_kkt(H, g, E, e)
+        elif qp.num_stages * qp.nu <= 8:
+            z = solve_qp_active_set_enum(qp)
+        else:
+            return
+        xs, us = dense_primal_from_qp(qp, z)
+        np.testing.assert_allclose(sol.u, np.array(us), atol=1e-6)
+        np.testing.assert_allclose(sol.x, np.array(xs), atol=1e-6)

@@ -57,11 +57,10 @@ class TestRtiController:
         first = ctrl._prepared
         ctrl.prepare(refs)
         second = ctrl._prepared
-        for a, b in zip(first.qp.stages, second.qp.stages):
-            np.testing.assert_array_equal(a.A, b.A)
-            np.testing.assert_array_equal(a.B, b.B)
-            np.testing.assert_array_equal(a.q, b.q)
-            np.testing.assert_array_equal(a.r, b.r)
+        np.testing.assert_array_equal(first.qp.A, second.qp.A)
+        np.testing.assert_array_equal(first.qp.B, second.qp.B)
+        np.testing.assert_array_equal(first.qp.q, second.qp.q)
+        np.testing.assert_array_equal(first.qp.r, second.qp.r)
 
     def test_prepare_after_shift_uses_shifted_guess(self, cfg, rng):
         ctrl = RtiController(cfg)

@@ -227,6 +227,31 @@ class TestClosedLoop:
         assert trace.failure is None
         assert np.abs(trace.estimated - trace.state).max() <= 1e-6
 
+    def test_history_stays_bounded_over_long_delayed_flight(self, params, monkeypatch):
+        import quadnmpc.sim as sim_module
+        from quadnmpc.delay import StateHistory
+
+        lengths = []
+
+        class RecordingHistory(StateHistory):
+            def push(self, t, xi):
+                super().push(t, xi)
+                lengths.append(len(self))
+
+        monkeypatch.setattr(sim_module, "StateHistory", RecordingHistory)
+        cfg = small_cfg(
+            params,
+            zstep_scenario(params, amplitude=0.3),
+            duration=6.0,
+            controller="lqr",
+            delay=DelayConfig.from_cycle_multiple(4, 0.015, compensate=True),
+        )
+        trace = run_closed_loop(cfg)
+        assert trace.failure is None and len(trace) == 400
+        # the round trip plus one cycle of 1 ms micro-steps, and the entry before them
+        assert max(lengths) <= round((0.06 + 0.015) / 1e-3) + 2
+        assert len(lengths) == 1 + 400 * 15
+
     def test_micro_step_must_divide_sampling(self, params):
         with pytest.raises(ValueError):
             small_cfg(params, hover_scenario(params), micro_step=0.004)
