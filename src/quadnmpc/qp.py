@@ -264,21 +264,24 @@ def partial_condense(qp: OcpQp, M: int) -> CondensedQp:
     Sb = np.zeros((nb, mU, nx))
     rb = np.zeros((nb, mU))
     for j in range(M):
-        cols = slice(j * nu, (j + 1) * nu)
+        # only the columns of earlier inputs, [0, k), are nonzero in G
+        k = j * nu
+        cols = slice(k, k + nu)
         Tt = T.swapaxes(1, 2)
-        Gt = G.swapaxes(1, 2)
+        Gk = G[:, :, :k]
+        Gkt = Gk.swapaxes(1, 2)
         QT = Q[:, j] @ T
         Qb += Tt @ QT
         w = _mv(Q[:, j], f) + q[:, j]
         qb += _mv(Tt, w)
         Rb[:, cols, cols] += R[:, j]
-        Rb += Gt @ (Q[:, j] @ G)
-        Sb += Gt @ QT
+        Rb[:, :k, :k] += Gkt @ (Q[:, j] @ Gk)
+        Sb[:, :k] += Gkt @ QT
         rb[:, cols] += r[:, j]
-        rb += _mv(Gt, w)
+        rb[:, :k] += _mv(Gkt, w)
         f = _mv(A[:, j], f) + c[:, j]
-        G = A[:, j] @ G
-        G[:, :, cols] += B[:, j]
+        G[:, :, :k] = A[:, j] @ Gk
+        G[:, :, cols] = B[:, j]
         T = A[:, j] @ T
     xb = qp.xbar[:N:M]
     Ub = ubar.reshape(nb, mU)
