@@ -164,6 +164,7 @@ def cmd_simulate(args) -> int:
     (out / "plot_trace.py").write_text(TRACE_PLOT.format(csv_name="trace.csv"))
     (out / "config_used.ini").write_text(rc.dump())
 
+    cycle_us = trace.prep_us + trace.fb_us
     summary = {
         "scenario": rc.get("sim", "scenario"),
         "controller": rc.get("sim", "controller"),
@@ -174,8 +175,11 @@ def cmd_simulate(args) -> int:
         "overshoot_pct": metrics.overshoot_pct,
         "settling_s": metrics.settling_s,
         "saturation_pct": metrics.saturation_pct,
-        "mean_cycle_us": float(np.mean(trace.prep_us + trace.fb_us)),
-        "max_cycle_us": float(np.max(trace.prep_us + trace.fb_us)) if len(trace) else 0.0,
+        "mean_cycle_us": float(np.mean(cycle_us)),
+        "p50_cycle_us": float(np.percentile(cycle_us, 50)) if len(trace) else 0.0,
+        "p95_cycle_us": float(np.percentile(cycle_us, 95)) if len(trace) else 0.0,
+        "max_cycle_us": float(np.max(cycle_us)) if len(trace) else 0.0,
+        "deadline_misses": int(np.count_nonzero(cycle_us > cfg.ocp.dt * 1e6)),
         "degraded_cycles": int(trace.degraded.sum()),
     }
     (out / "metrics.json").write_text(json.dumps(_jsonable(summary), indent=2))

@@ -158,60 +158,66 @@ def quat_from_rotvec(phi: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def forces_moments(u: np.ndarray, params: QuadrotorParams) -> tuple[np.ndarray, np.ndarray]:
-    """Total body-frame force and moment produced by rotor speeds ``u`` [krpm].
-
-    Thrust acts along body z only. Roll/pitch moments come from the
-    thrust imbalance across the X configuration, yaw from rotor drag.
-    """
-    w2 = np.asarray(u, dtype=float) ** 2
-    fz = params.CT * w2.sum()
-    mx = params.CT * params.l * (-w2[0] - w2[1] + w2[2] + w2[3])
-    my = params.CT * params.l * (-w2[0] + w2[1] + w2[2] - w2[3])
-    mz = params.CD * (-w2[0] + w2[1] - w2[2] + w2[3])
-    return np.array([0.0, 0.0, fz]), np.array([mx, my, mz])
-
-
 def ode_rhs(xi: np.ndarray, u: np.ndarray, params: QuadrotorParams) -> np.ndarray:
     """Time derivative of the 13-dim state under rotor speeds ``u``.
 
     Total on finite inputs; the quaternion is used as-is (no
     renormalization), which keeps the map smooth for sensitivity
     propagation.
+
+    Thrust acts along body z only. Roll/pitch moments come from the
+    thrust imbalance across the X configuration, yaw from rotor drag.
+    The plant and the predictor call this once per ERK4 stage, so it
+    works on Python floats: numpy dispatch on 3-vectors would cost
+    several times the arithmetic. Rows 3-12 repeat the operation order
+    of the vector expressions (``quat_multiply``, ``np.cross``)
+    exactly; :func:`ode_rhs_batch` is the OCP's kernel.
     """
-    q = xi[QUAT]
-    v = xi[VEL]
-    w = xi[OMEGA]
-    R = quat_to_rotmat(q)
-    fb, mb = forces_moments(u, params)
+    _, _, _, qw, qx, qy, qz, vx, vy, vz, wx, wy, wz = xi.tolist()
+    u0, u1, u2, u3 = np.asarray(u, dtype=float).tolist()
+    m, g, CT, Jx, Jy, Jz = params.m, params.g, params.CT, params.Jxx, params.Jyy, params.Jzz
 
-    dp = R @ v
-    dq = 0.5 * quat_multiply(q, np.array([0.0, w[0], w[1], w[2]]))
-    # cross products written out: np.cross costs far more on 3-vectors
-    wx, wy, wz = w.tolist()
-    vx, vy, vz = v.tolist()
-    # gravity resolved in body axes: R^T (0, 0, g)
-    dv = fb / params.m - params.g * R[2, :] - np.array(
-        [wy * vz - wz * vy, wz * vx - wx * vz, wx * vy - wy * vx]
+    # rotation matrix body -> inertial, as in quat_to_rotmat
+    r00 = 1 - 2 * (qy * qy + qz * qz)
+    r01 = 2 * (qx * qy - qw * qz)
+    r02 = 2 * (qx * qz + qw * qy)
+    r10 = 2 * (qx * qy + qw * qz)
+    r11 = 1 - 2 * (qx * qx + qz * qz)
+    r12 = 2 * (qy * qz - qw * qx)
+    r20 = 2 * (qx * qz - qw * qy)
+    r21 = 2 * (qy * qz + qw * qx)
+    r22 = 1 - 2 * (qx * qx + qy * qy)
+
+    # thrust and moments, quadratic in rotor speed
+    w0, w1, w2, w3 = u0 * u0, u1 * u1, u2 * u2, u3 * u3
+    fz = CT * (w0 + w1 + w2 + w3)
+    ctl = CT * params.l
+    mx = ctl * (-w0 - w1 + w2 + w3)
+    my = ctl * (-w0 + w1 + w2 - w3)
+    mz = params.CD * (-w0 + w1 - w2 + w3)
+
+    # angular momentum J w for the gyroscopic term
+    hx, hy, hz = Jx * wx, Jy * wy, Jz * wz
+    return np.array(
+        [
+            r00 * vx + r01 * vy + r02 * vz,
+            r10 * vx + r11 * vy + r12 * vz,
+            r20 * vx + r21 * vy + r22 * vz,
+            # 0.5 * q (x) (0, w)
+            0.5 * (-qx * wx - qy * wy - qz * wz),
+            0.5 * (qw * wx + qy * wz - qz * wy),
+            0.5 * (qw * wy - qx * wz + qz * wx),
+            0.5 * (qw * wz + qx * wy - qy * wx),
+            # body acceleration: thrust / m - R^T (0, 0, g) - w x v
+            -g * r20 - (wy * vz - wz * vy),
+            -g * r21 - (wz * vx - wx * vz),
+            (fz / m - g * r22) - (wx * vy - wy * vx),
+            # Euler's equations: J^-1 (M - w x J w)
+            (mx - (wy * hz - wz * hy)) / Jx,
+            (my - (wz * hx - wx * hz)) / Jy,
+            (mz - (wx * hy - wy * hx)) / Jz,
+        ]
     )
-    J = params.inertia
-    hx, hy, hz = (J * w).tolist()
-    dw = (mb - np.array([wy * hz - wz * hy, wz * hx - wx * hz, wx * hy - wy * hx])) / J
-
-    out = np.empty(NX)
-    out[POS] = dp
-    out[QUAT] = dq
-    out[VEL] = dv
-    out[OMEGA] = dw
-    return out
-
-
-def ode_jacobians(
-    xi: np.ndarray, u: np.ndarray, params: QuadrotorParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic Jacobians (d f/d xi, d f/d u) of :func:`ode_rhs`."""
-    fx, fu = ode_jacobians_batch(xi[None, :], u[None, :], params)
-    return fx[0], fu[0]
 
 
 def ode_rhs_batch(XI: np.ndarray, U: np.ndarray, params: QuadrotorParams) -> np.ndarray:

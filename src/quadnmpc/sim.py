@@ -35,7 +35,7 @@ TRACE_COLUMNS = (
     "ref_x,ref_y,ref_z,prep_us,fb_us,degraded"
 )
 REFERENCE_COLUMNS = "t,x,y,z,qw,qx,qy,qz,vx,vy,vz,wx,wy,wz,u1,u2,u3,u4"
-DIAGNOSTICS_COLUMNS = "k,prep_us,fb_us,qp_iters,kkt_stat,step_norm,degraded"
+DIAGNOSTICS_COLUMNS = "k,prep_us,fb_us,qp_linalg_us,qp_iters,kkt_stat,step_norm,degraded"
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +677,7 @@ def write_diagnostics_csv(path, trace: SimTrace) -> None:
                     k,
                     f"{trace.prep_us[k]:.1f}",
                     f"{trace.fb_us[k]:.1f}",
+                    f"{trace.qp_linalg_us[k]:.1f}",
                     int(trace.qp_iters[k]),
                     f"{trace.kkt_stat[k]:.3e}",
                     f"{trace.step_norm[k]:.6g}",

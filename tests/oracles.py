@@ -1,8 +1,9 @@
 """Independent reference computations used to check the library.
 
 Everything here is deliberately naive: central finite differences,
-dense KKT factorizations, and exhaustive active-set enumeration. None
-of it shares code with the solver paths it validates.
+vector-form rotor forces, dense KKT factorizations, and exhaustive
+active-set enumeration. None of it shares code with the solver paths it
+validates.
 """
 
 import itertools
@@ -23,6 +24,20 @@ def central_diff_jacobian(f, x, eps=1e-6):
         xm[j] -= h
         J[:, j] = (np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h)
     return J
+
+
+def forces_moments(u, params):
+    """Total body-frame force and moment produced by rotor speeds ``u`` [krpm].
+
+    Thrust acts along body z only. Roll/pitch moments come from the
+    thrust imbalance across the X configuration, yaw from rotor drag.
+    """
+    w2 = np.asarray(u, dtype=float) ** 2
+    fz = params.CT * w2.sum()
+    mx = params.CT * params.l * (-w2[0] - w2[1] + w2[2] + w2[3])
+    my = params.CT * params.l * (-w2[0] + w2[1] + w2[2] - w2[3])
+    mz = params.CD * (-w2[0] + w2[1] - w2[2] + w2[3])
+    return np.array([0.0, 0.0, fz]), np.array([mx, my, mz])
 
 
 def stack_qp_dense(qp):

@@ -5,7 +5,7 @@ import pytest
 
 from quadnmpc.cli import main
 from quadnmpc.config import ConfigError, RunConfig
-from quadnmpc.sim import read_reference_csv, read_trace_csv
+from quadnmpc.sim import read_diagnostics_csv, read_reference_csv, read_trace_csv
 
 
 class TestConfig:
@@ -81,6 +81,15 @@ class TestCli:
         assert metrics["rms_norm_m"] <= 1e-6
         trace = read_trace_csv(tmp_path / "trace.csv")
         assert len(trace) == 40
+        diag = read_diagnostics_csv(tmp_path / "diagnostics.csv")
+        assert len(diag) == 40
+        assert np.all(diag["qp_linalg_us"] > 0.0)
+        cycle_us = diag["prep_us"] + diag["fb_us"]
+        # diagnostics.csv rounds each time to 0.1 us
+        assert metrics["p50_cycle_us"] == pytest.approx(np.percentile(cycle_us, 50), abs=0.1)
+        assert metrics["p95_cycle_us"] == pytest.approx(np.percentile(cycle_us, 95), abs=0.1)
+        assert metrics["p50_cycle_us"] <= metrics["p95_cycle_us"] <= metrics["max_cycle_us"]
+        assert metrics["deadline_misses"] == np.count_nonzero(cycle_us > 15000.0)
 
     def test_simulate_malformed_config_exits_2_without_outputs(self, tmp_path):
         cfg = tmp_path / "bad.ini"

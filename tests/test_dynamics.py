@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_state, random_unit_quat
-from oracles import central_diff_jacobian
+from oracles import central_diff_jacobian, forces_moments
 from quadnmpc.dynamics import (
     NX,
     QuadrotorParams,
     erk4_step,
-    forces_moments,
     hover_state,
-    ode_jacobians,
     ode_jacobians_batch,
     ode_rhs,
     ode_rhs_batch,
@@ -21,6 +21,8 @@ from quadnmpc.dynamics import (
 )
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
+# the default airframe has Jxx == Jyy, which would hide a swapped inertia
+ASYMMETRIC = QuadrotorParams(Jyy=1.7e-5)
 
 
 class TestParams:
@@ -162,11 +164,61 @@ class TestOde:
             _, mb = forces_moments(U[i], params)
             np.testing.assert_array_equal(batch[i, 10:13], (mb - gyro[i]) / J)
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.tuples(
+            *[st.floats(-10.0, 10.0)] * 3,
+            # quaternion components drawn independently: not unit norm
+            *[st.floats(-1.5, 1.5)] * 4,
+            *[st.floats(-5.0, 5.0)] * 3,
+            *[st.floats(-50.0, 50.0)] * 3,
+        ),
+        st.tuples(*[st.floats(0.0, 22.0)] * 4),
+    )
+    def test_scalar_matches_batch_property(self, xi, u):
+        params = ASYMMETRIC
+        xi, u = np.array(xi), np.array(u)
+        single = ode_rhs(xi, u, params)
+        batch = ode_rhs_batch(xi[None, :], u[None, :], params)[0]
+        assert np.all(np.abs(single - batch) <= 1e-14 * np.maximum(1.0, np.abs(batch)))
+
+    def test_plant_loop_tracks_vector_form_reference(self):
+        # 1 s of 1 ms plant micro-steps, each ERK4 plus renormalization as in
+        # the simulator, against the ODE written with rotation matrices and np.cross
+        params = ASYMMETRIC
+        J = params.inertia
+
+        def reference(xi, u):
+            R = quat_to_rotmat(xi[3:7])
+            v, w = xi[7:10], xi[10:13]
+            fb, mb = forces_moments(u, params)
+            out = np.empty(NX)
+            out[0:3] = R @ v
+            out[3:7] = 0.5 * quat_multiply(xi[3:7], np.array([0.0, *w]))
+            out[7:10] = fb / params.m - params.g * R[2, :] - np.cross(w, v)
+            out[10:13] = (mb - np.cross(w, J * w)) / J
+            return out
+
+        x0 = hover_state((0.3, -0.2, 1.0))
+        x0[3:7] = quat_from_rotvec(np.array([0.3, -0.2, 0.8]))
+        x0[7:10] = [0.8, -0.5, 0.3]
+        x0[10:13] = [3.0, -2.0, 1.5]
+        phases = np.array([0.0, 1.3, 2.1, 4.0])
+        x, x_ref = x0.copy(), x0.copy()
+        for k in range(1000):
+            u = params.hover_input() * (1.0 + 0.05 * np.sin(0.02 * k + phases))
+            x = erk4_step(lambda s: ode_rhs(s, u, params), x, 1e-3)
+            x[3:7] = quat_normalize(x[3:7])
+            x_ref = erk4_step(lambda s: reference(s, u), x_ref, 1e-3)
+            x_ref[3:7] = quat_normalize(x_ref[3:7])
+        assert np.linalg.norm(x - x0) > 1.0
+        np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-12)
+
     def test_jacobians_match_finite_differences(self, params, rng):
         for _ in range(100):
             xi = random_state(rng)
             u = rng.uniform(1.0, 21.0, 4)
-            fx, fu = ode_jacobians(xi, u, params)
+            fx, fu = (J[0] for J in ode_jacobians_batch(xi[None, :], u[None, :], params))
             fx_fd = central_diff_jacobian(lambda x: ode_rhs(x, u, params), xi)
             fu_fd = central_diff_jacobian(lambda v: ode_rhs(xi, v, params), u)
             assert np.abs(fx - fx_fd).max() / np.abs(fx).max() < 1e-6
@@ -177,9 +229,9 @@ class TestOde:
         U = rng.uniform(0, 22, (8, 4))
         FX, FU = ode_jacobians_batch(XI, U, params)
         for i in range(8):
-            fx, fu = ode_jacobians(XI[i], U[i], params)
-            np.testing.assert_allclose(FX[i], fx)
-            np.testing.assert_allclose(FU[i], fu)
+            fx, fu = ode_jacobians_batch(XI[i : i + 1], U[i : i + 1], params)
+            np.testing.assert_allclose(FX[i], fx[0])
+            np.testing.assert_allclose(FU[i], fu[0])
 
 
 class TestErk4:

@@ -372,3 +372,6 @@ class TestDiagnosticsCsv:
         assert len(back) == len(trace)
         np.testing.assert_allclose(back["qp_iters"], trace.qp_iters)
         np.testing.assert_allclose(back["degraded"], trace.degraded.astype(int))
+        # times are written with one decimal
+        np.testing.assert_allclose(back["qp_linalg_us"], trace.qp_linalg_us, atol=0.05)
+        assert np.all(back["qp_linalg_us"] > 0.0)
