@@ -181,6 +181,7 @@ def cmd_simulate(args) -> int:
         "max_cycle_us": float(np.max(cycle_us)) if len(trace) else 0.0,
         "deadline_misses": int(np.count_nonzero(cycle_us > cfg.ocp.dt * 1e6)),
         "degraded_cycles": int(trace.degraded.sum()),
+        "unconverged_cycles": int(np.count_nonzero(trace.qp_status == "max_iterations")),
     }
     (out / "metrics.json").write_text(json.dumps(_jsonable(summary), indent=2))
     lines = [f"{k}: {v}" for k, v in _jsonable(summary).items()]

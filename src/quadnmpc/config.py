@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .delay import DelayConfig
 from .dynamics import QuadrotorParams
-from .ocp import DEFAULT_INPUT_WEIGHT, DEFAULT_STATE_WEIGHT, OcpConfig
+from .ocp import OcpConfig
 from .lqr import DEFAULT_LQR_Q, DEFAULT_LQR_R
 from .sim import NoiseConfig, SimConfig, VelocityFilterConfig
 
@@ -29,27 +29,27 @@ def _fmt_vec(values) -> str:
     return ",".join(f"{v:.12g}" for v in values)
 
 
+_PARAMS = QuadrotorParams()
+_OCP = OcpConfig(params=_PARAMS)
+_SIM = {f.name: f.default for f in fields(SimConfig)}
+
 DEFAULTS: dict[str, dict[str, object]] = {
-    "model": {
-        "m": 0.033,
-        "g": 9.8066,
-        "l": 0.0325,
-        "Jxx": 1.395e-5,
-        "Jyy": 1.395e-5,
-        "Jzz": 2.173e-5,
-        "CT": 3.25e-4,
-        "CD": 7.9379e-6,
-    },
+    "model": {f.name: getattr(_PARAMS, f.name) for f in fields(QuadrotorParams)},
     "nmpc": {
-        "N": 50,
-        "dt": 0.015,
-        "W": _fmt_vec(np.concatenate([DEFAULT_STATE_WEIGHT, DEFAULT_INPUT_WEIGHT])),
-        "WN": _fmt_vec(50.0 * DEFAULT_STATE_WEIGHT),
-        "u_min": 0.0,
-        "u_max": 22.0,
+        "N": _OCP.N,
+        "dt": _OCP.dt,
+        "W": _fmt_vec(_OCP.W),
+        "WN": _fmt_vec(_OCP.W_N),
+        "u_min": float(_OCP.u_lower[0]),
+        "u_max": float(_OCP.u_upper[0]),
     },
-    "qp": {"solver": "riccati", "block_size": 5, "tol": 1e-8, "max_iters": 50},
-    "rti": {"split": True},
+    "qp": {
+        "solver": _SIM["solver"],
+        "block_size": _SIM["block_size"],
+        "tol": _SIM["qp_tol"],
+        "max_iters": _SIM["qp_max_iters"],
+    },
+    "rti": {"split": _SIM["rti_split"]},
     "delay": {
         "tau1": 0.0,
         "tau2": 0.0,

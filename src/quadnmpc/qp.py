@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 
 class QpNumericalError(RuntimeError):
@@ -156,7 +156,10 @@ class QpSolution:
     ``x`` and ``pi`` are (N+1, nx), ``u``, ``lam_lo`` and ``lam_hi``
     (N, nu). ``linalg_us`` accumulates the time spent factorizing and
     solving the Newton systems (the part whose cost scales with the
-    problem shape), excluding residual bookkeeping.
+    problem shape), excluding residual bookkeeping. It does not include
+    the first factorization when that was prepared ahead of the solve
+    (:func:`prepare_riccati_ipm`, which the RTI controller runs in its
+    preparation phase).
     """
 
     x: np.ndarray
@@ -365,66 +368,153 @@ def _cholesky(G: np.ndarray) -> np.ndarray:
 class _RiccatiSweep:
     """Backward factorization of one interior-point Newton system.
 
-    Matrix factors depend only on the barrier-modified Hessian, so one
-    sweep serves both the predictor and the corrector right-hand sides.
+    Stage ``i`` forms ``M = [B A]' P_{i+1} [B A] + W_i`` from the stacked
+    dynamics ``BA[i] = [B_i A_i]`` and stage Hessian
+    ``W[i] = [[R_bar_i, S_i], [S_i', Q_i]]``, factorizes its input block
+    ``G_i = L_i L_i'`` and inverts the factor, so that with
+    ``V_i = L_i^-1 H_i`` the next cost-to-go is ``P_i = Q_bar_i - V_i' V_i``.
+    The gains ``K_i = -G_i^-1 H_i``, the inverse input blocks and the
+    closed-loop matrices ``A_i + B_i K_i`` are formed for all stages after
+    the loop. One sweep serves both the predictor and the corrector
+    right-hand sides.
     """
 
-    def __init__(self, qp: OcpQp, R_bar: np.ndarray):
-        N, nx, nu = qp.B.shape
-        A, B, S, Q = qp.A, qp.B, qp.S, qp.Q
-        self.qp = qp
+    def __init__(self, A, B, BA, W, Q_N):
+        N, nx, nu = B.shape
+        self.B = B
         self.P = P = np.empty((N + 1, nx, nx))
-        self.L = np.empty((N, nu, nu))
-        self.K = np.empty((N, nu, nx))
-        self.H = np.empty((N, nu, nx))
-        P[N] = qp.Q_N
+        L_inv = np.empty((N, nu, nu))
+        V = np.empty((N, nu, nx))
+        P[N] = Q_N
         for i in range(N - 1, -1, -1):
-            Pn = P[i + 1]
-            PB = Pn @ B[i]
-            G = R_bar[i] + B[i].T @ PB
-            H = S[i] + PB.T @ A[i]
-            L = _cholesky(0.5 * (G + G.T))
-            K = -dpotrs(L, H, lower=1)[0]
-            Pi = Q[i] + A[i].T @ (Pn @ A[i]) + H.T @ K
-            self.L[i] = L
-            self.K[i] = K
-            self.H[i] = H
-            P[i] = 0.5 * (Pi + Pi.T)
+            BAi = BA[i]
+            M = BAi.T @ (P[i + 1] @ BAi)
+            M += W[i]
+            L_inv[i] = Li = dtrtri(_cholesky(M[:nu, :nu]), lower=1)[0]
+            V[i] = Vi = Li @ M[:nu, nu:]
+            Pi = M[nu:, nu:] - Vi.T @ Vi
+            np.add(Pi, Pi.T, out=P[i])
+            P[i] *= 0.5
+        L_invT = L_inv.swapaxes(1, 2)
+        self.G_inv = L_invT @ L_inv
+        self.K = K = -(L_invT @ V)
+        self.A_cl = A + B @ K
 
     def solve(self, rx, ru, re):
-        """Newton direction for right-hand sides (−rx, −ru, −re)."""
-        A, B = self.qp.A, self.qp.B
-        P, L, K, H = self.P, self.L, self.K, self.H
-        N = len(L)
+        """Newton direction for right-hand sides (−rx, −ru, −re).
+
+        Backward, ``p_i = a_i + (A_i + B_i K_i)' p_{i+1}``; forward,
+        ``dx_{i+1} = (A_i + B_i K_i) dx_i + e_i``; the offsets ``a`` and
+        ``e``, the feedforward ``k`` and the steps ``du`` and ``dpi`` are
+        whole-array operations.
+        """
+        P, K, A_cl, B = self.P, self.K, self.A_cl, self.B
+        N = len(K)
         Pre = _mv(P[1:], re[1:])
+        a = rx[:N] + _mtv(K, ru) - _mtv(A_cl, Pre)
         p = np.empty_like(rx)
-        k = np.empty_like(ru)
-        p[N] = rx[N]
+        p[N] = v = rx[N]
         for i in range(N - 1, -1, -1):
-            m1 = p[i + 1] - Pre[i]
-            k[i] = -dpotrs(L[i], ru[i] + B[i].T @ m1, lower=1)[0]
-            p[i] = rx[i] + A[i].T @ m1 + H[i].T @ k[i]
+            p[i] = v = a[i] + v @ A_cl[i]
+        k = -_mv(self.G_inv, ru + _mtv(B, p[1:] - Pre))
+        e = _mv(B, k) - re[1:]
         dx = np.empty_like(rx)
-        du = np.empty_like(ru)
-        dx[0] = -re[0]
+        dx[0] = v = -re[0]
         for i in range(N):
-            du[i] = K[i] @ dx[i] + k[i]
-            dx[i + 1] = A[i] @ dx[i] + B[i] @ du[i] - re[i + 1]
+            dx[i + 1] = v = A_cl[i] @ v + e[i]
+        du = _mv(K, dx[:-1]) + k
         return dx, du, _mv(P, dx) + p
 
 
-def _step_to_boundary(v, dv) -> float:
+# +1 for the lower bound slack u - lb, -1 for the upper one ub - u
+_SIDE = np.array([1.0, -1.0])[:, None, None]
+
+
+def _barrier_hessians(W: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Stage Hessians ``W`` with the barrier diagonal ``D (N, nu)`` added to the input block."""
+    nu = D.shape[1]
+    W_bar = W.copy()
+    W_bar[:, range(nu), range(nu)] += D
+    return W_bar
+
+
+def _step_to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
     """Largest alpha with ``v + alpha dv >= 0`` in every entry, for strictly positive ``v``.
 
-    ``v`` and ``dv`` are sequences of equally shaped arrays; the result
-    is infinite when no entry of ``dv`` is negative.
+    The result is infinite when no entry of ``dv`` is negative.
     """
-    v = np.stack(v)
-    dv = np.stack(dv)
-    return float(np.min(-v / dv, where=dv < 0, initial=np.inf))
+    return float(np.where(dv < 0, -v / dv, np.inf).min())
 
 
-def solve_riccati_ipm(qp: OcpQp, tol: float = 1e-8, max_iters: int = 50) -> QpSolution:
+def _bound_steps(du: np.ndarray, rc: np.ndarray, s: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Slack and dual steps ``(ds, dlam)``, stacked (2, 2, N, nu), of the input step ``du``."""
+    dv = np.empty((2,) + s.shape)
+    np.multiply(_SIDE, du, out=dv[0])
+    np.divide(-(rc + lam * dv[0]), s, out=dv[1])
+    return dv
+
+
+@dataclass
+class IpmStart:
+    """Everything of a Riccati IPM solve that does not read ``x0_residual``.
+
+    ``c`` holds the continuity constants, ``BA (N,nx,nu+nx)`` and
+    ``W (N,nu+nx,nu+nx)`` the stacked stage data ``[B A]`` and
+    ``[[R, S], [S', Q]]``, ``f`` the drift ``B u + c`` of the starting
+    inputs ``u``, ``bounds`` and ``lam (2,N,nu)`` the lower and upper
+    bounds and their starting duals. ``sweep`` is the factorization of the
+    first Newton matrix, or ``None`` with the factorization's error kept
+    in ``error``; ``linalg_us`` is the time it took. A start is valid for
+    the QP it was prepared from, whatever its ``x0_residual``, and is not
+    modified by a solve.
+    """
+
+    c: np.ndarray
+    BA: np.ndarray
+    W: np.ndarray
+    f: np.ndarray
+    u: np.ndarray
+    bounds: np.ndarray
+    lam: np.ndarray
+    sweep: _RiccatiSweep | None
+    error: QpNumericalError | None
+    linalg_us: float
+
+
+def prepare_riccati_ipm(qp: OcpQp) -> IpmStart:
+    """Stack the stage data, set the starting point and factorize the first Newton matrix.
+
+    None of this reads ``qp.x0_residual``, so an RTI controller runs it
+    before the measurement arrives. A factorization failure does not
+    raise here: it is kept and raised by the solve that needs it.
+    """
+    N, nx, nu = qp.B.shape
+    c = qp.defects()
+    BA = np.concatenate([qp.B, qp.A], axis=2)
+    W = np.empty((N, nu + nx, nu + nx))
+    W[:, :nu, :nu] = qp.R
+    W[:, :nu, nu:] = qp.S
+    W[:, nu:, :nu] = qp.S.swapaxes(1, 2)
+    W[:, nu:, nu:] = qp.Q
+    # strictly interior start at the bound midpoints
+    u = 0.5 * (qp.lb + qp.ub)
+    bounds = np.stack((qp.lb, qp.ub))
+    s = _SIDE * (u - bounds)
+    lam = 1.0 / np.maximum(s, 1e-2)
+    sweep = error = None
+    t0 = time.perf_counter_ns()
+    try:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            sweep = _RiccatiSweep(qp.A, qp.B, BA, _barrier_hessians(W, (lam / s).sum(0)), qp.Q_N)
+    except QpNumericalError as exc:
+        error = exc
+    linalg_us = (time.perf_counter_ns() - t0) / 1000.0
+    return IpmStart(c, BA, W, _mv(qp.B, u) + c, u, bounds, lam, sweep, error, linalg_us)
+
+
+def solve_riccati_ipm(
+    qp: OcpQp, tol: float = 1e-8, max_iters: int = 50, start: IpmStart | None = None
+) -> QpSolution:
     """Solve the banded QP by a Mehrotra predictor-corrector interior point.
 
     Every Newton system is factorized by one backward Riccati recursion
@@ -433,47 +523,56 @@ def solve_riccati_ipm(qp: OcpQp, tol: float = 1e-8, max_iters: int = 50) -> QpSo
     step length with fraction-to-boundary 0.995 is applied to all
     primal and dual variables.
 
+    ``start``, from :func:`prepare_riccati_ipm` on this QP, supplies the
+    work that does not depend on ``x0_residual``; without it the solve
+    prepares its own, with the same iterates. ``linalg_us`` counts the
+    first factorization only when the solve prepared the start itself.
+
     Raises :class:`QpNumericalError` if a recursion block stays
     indefinite after one shot of regularization, or if iterates go
     non-finite. Hitting ``max_iters`` is reported through ``status``
     with the best iterate, not raised.
     """
+    linalg_us = 0.0
+    if start is None:
+        start = prepare_riccati_ipm(qp)
+        linalg_us = start.linalg_us
     # slack collapse on pathological data produces inf/nan that the
     # finite-residual check inside turns into QpNumericalError
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _riccati_ipm(qp, tol, max_iters)
+        sol = _riccati_ipm(qp, tol, max_iters, start)
+    sol.linalg_us += linalg_us
+    return sol
 
 
-def _riccati_ipm(qp: OcpQp, tol: float, max_iters: int) -> QpSolution:
+def _riccati_ipm(qp: OcpQp, tol: float, max_iters: int, start: IpmStart) -> QpSolution:
     linalg_ns = 0
     N, nx, nu = qp.B.shape
-    c = qp.defects()
-    lb, ub = qp.lb, qp.ub
-    n_bnd = N * nu
-    diag = np.arange(nu)
+    c, bounds = start.c, start.bounds
+    n_bnd = 2 * N * nu
 
-    # strictly interior start at the bound midpoints, rolled out feasibly
-    u = 0.5 * (lb + ub)
+    # the starting inputs rolled out feasibly from the initial state
+    u = start.u
     x = np.empty((N + 1, nx))
     x[0] = qp.x0_residual
     for i in range(N):
-        x[i + 1] = qp.A[i] @ x[i] + qp.B[i] @ u[i] + c[i]
+        x[i + 1] = qp.A[i] @ x[i] + start.f[i]
     pi = np.zeros((N + 1, nx))
-    lam_lo = 1.0 / np.maximum(u - lb, 1e-2)
-    lam_hi = 1.0 / np.maximum(ub - u, 1e-2)
+    # slacks and bound duals side by side, for one step-to-boundary test
+    v = np.empty((2,) + start.lam.shape)
+    s, lam = v
+    lam[:] = start.lam
 
     status = "max_iterations"
     iters = 0
     for iters in range(max_iters + 1):
-        sl = u - lb
-        su = ub - u
-        rx, ru, re = _residuals(qp, c, x, u, pi, lam_lo, lam_hi)
-        rcl = lam_lo * sl
-        rcu = lam_hi * su
+        np.multiply(_SIDE, u - bounds, out=s)
+        rx, ru, re = _residuals(qp, c, x, u, pi, lam[0], lam[1])
+        rc = lam * s
 
         stat_norm = max(np.abs(rx).max(), np.abs(ru).max())
         eq_norm = np.abs(re).max()
-        compl_norm = max(np.abs(rcl).max(), np.abs(rcu).max())
+        compl_norm = np.abs(rc).max()
         if not np.isfinite(stat_norm + eq_norm + compl_norm):
             raise QpNumericalError("non-finite values encountered in interior-point iterate")
         if stat_norm <= tol and eq_norm <= tol and compl_norm <= tol:
@@ -482,58 +581,51 @@ def _riccati_ipm(qp: OcpQp, tol: float, max_iters: int) -> QpSolution:
         if iters == max_iters:
             break
 
-        mu = float(rcl.sum() + rcu.sum()) / (2 * n_bnd)
-        R_bar = qp.R.copy()
-        R_bar[:, diag, diag] += lam_lo / sl + lam_hi / su
-        t0 = time.perf_counter_ns()
-        sweep = _RiccatiSweep(qp, R_bar)
-        linalg_ns += time.perf_counter_ns() - t0
+        mu = float(rc.sum()) / n_bnd
+        if iters == 0:
+            if start.error is not None:
+                raise start.error
+            sweep = start.sweep
+        else:
+            t0 = time.perf_counter_ns()
+            W_bar = _barrier_hessians(start.W, (lam / s).sum(0))
+            sweep = _RiccatiSweep(qp.A, qp.B, start.BA, W_bar, qp.Q_N)
+            linalg_ns += time.perf_counter_ns() - t0
 
         # predictor: pure Newton step on the unperturbed KKT system
-        ru_eff = ru + rcl / sl - rcu / su
+        g = rc / s
         t0 = time.perf_counter_ns()
-        dx_a, du_a, dpi_a = sweep.solve(rx, ru_eff, re)
+        dx_a, du_a, dpi_a = sweep.solve(rx, ru + g[0] - g[1], re)
         linalg_ns += time.perf_counter_ns() - t0
-        dll_a = -(rcl + lam_lo * du_a) / sl
-        dlh_a = -(rcu - lam_hi * du_a) / su
+        dv_a = _bound_steps(du_a, rc, s, lam)
 
-        alpha_aff = min(
-            1.0, _step_to_boundary((sl, su, lam_lo, lam_hi), (du_a, -du_a, dll_a, dlh_a))
-        )
-        mu_aff = float(
-            ((lam_lo + alpha_aff * dll_a) * (sl + alpha_aff * du_a)).sum()
-            + ((lam_hi + alpha_aff * dlh_a) * (su - alpha_aff * du_a)).sum()
-        ) / (2 * n_bnd)
+        alpha_aff = min(1.0, _step_to_boundary(v, dv_a))
+        v_aff = v + alpha_aff * dv_a
+        mu_aff = float((v_aff[1] * v_aff[0]).sum()) / n_bnd
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
         # corrector: recentered with Mehrotra second-order terms
-        rcl = rcl + du_a * dll_a - sigma * mu
-        rcu = rcu - du_a * dlh_a - sigma * mu
-        ru_eff = ru + rcl / sl - rcu / su
+        rc = rc + dv_a[0] * dv_a[1] - sigma * mu
+        g = rc / s
         t0 = time.perf_counter_ns()
-        dx, du, dpi = sweep.solve(rx, ru_eff, re)
+        dx, du, dpi = sweep.solve(rx, ru + g[0] - g[1], re)
         linalg_ns += time.perf_counter_ns() - t0
-        dll = -(rcl + lam_lo * du) / sl
-        dlh = -(rcu - lam_hi * du) / su
+        dv = _bound_steps(du, rc, s, lam)
 
-        alpha = min(
-            1.0 / _FRACTION_TO_BOUNDARY,
-            _step_to_boundary((sl, su, lam_lo, lam_hi), (du, -du, dll, dlh)),
-        )
+        alpha = min(1.0 / _FRACTION_TO_BOUNDARY, _step_to_boundary(v, dv))
         alpha = min(1.0, _FRACTION_TO_BOUNDARY * alpha)
 
         x = x + alpha * dx
         pi = pi + alpha * dpi
         u = u + alpha * du
-        lam_lo = lam_lo + alpha * dll
-        lam_hi = lam_hi + alpha * dlh
+        lam += alpha * dv[1]
 
     sol = QpSolution(
         x=x,
         u=u,
         pi=pi,
-        lam_lo=lam_lo,
-        lam_hi=lam_hi,
+        lam_lo=lam[0],
+        lam_hi=lam[1],
         iters=iters,
         status=status,
         linalg_us=linalg_ns / 1000.0,
@@ -595,7 +687,10 @@ def _box_qp_dense(H, g, lb, ub, tol, max_iters):
         dll_a = -(rcl + lam_lo * dz_a) / sl
         dlh_a = -(rcu - lam_hi * dz_a) / su
         alpha_aff = min(
-            1.0, _step_to_boundary((sl, su, lam_lo, lam_hi), (dz_a, -dz_a, dll_a, dlh_a))
+            1.0,
+            _step_to_boundary(
+                np.stack((sl, su, lam_lo, lam_hi)), np.stack((dz_a, -dz_a, dll_a, dlh_a))
+            ),
         )
         mu_aff = (
             float(
@@ -616,7 +711,9 @@ def _box_qp_dense(H, g, lb, ub, tol, max_iters):
         alpha = min(
             1.0,
             _FRACTION_TO_BOUNDARY
-            * _step_to_boundary((sl, su, lam_lo, lam_hi), (dz, -dz, dll, dlh)),
+            * _step_to_boundary(
+                np.stack((sl, su, lam_lo, lam_hi)), np.stack((dz, -dz, dll, dlh))
+            ),
         )
         z = z + alpha * dz
         lam_lo = lam_lo + alpha * dll

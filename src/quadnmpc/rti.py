@@ -1,12 +1,13 @@
 """Real-time-iteration controller: one SQP iteration per sampling instant.
 
 Each control cycle splits into a preparation phase (linearize the whole
-horizon at the current guess, assemble and condense the QP - nothing
-that needs the new measurement) and a feedback phase (inject the
-initial-condition residual, solve one QP, apply the full Newton-type
-step, emit the first input, shift the guess). A run-to-convergence mode
-iterates SQP steps on a fixed problem under an exact-penalty step
-safeguard; trajectory generation uses it offline.
+horizon at the current guess, assemble and condense the QP, and for the
+Riccati IPM set its starting point and factorize its first Newton
+matrix - nothing that needs the new measurement) and a feedback phase
+(inject the initial-condition residual, solve one QP, apply the full
+Newton-type step, emit the first input, shift the guess). A
+run-to-convergence mode iterates SQP steps on a fixed problem under an
+exact-penalty step safeguard; trajectory generation uses it offline.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ from . import dynamics as dyn
 from .ocp import OcpConfig, ReferenceWindow, build_qp, discrete_dynamics_batch
 from .qp import (
     CondensedQp,
+    IpmStart,
     QpNumericalError,
     QpSolution,
     expand,
     kkt_residuals,
     partial_condense,
+    prepare_riccati_ipm,
     solve_condensed_dense,
     solve_riccati_ipm,
 )
@@ -40,7 +43,12 @@ class SqpConvergenceError(RuntimeError):
 
 @dataclass
 class ControlOutput:
-    """One feedback result: applied input, one-step-ahead prediction, diagnostics."""
+    """One feedback result: applied input, one-step-ahead prediction, diagnostics.
+
+    ``qp_status`` is the QP solver's status (``converged`` or
+    ``max_iterations``), or ``numerical_error`` when the solve raised and
+    the cycle is degraded.
+    """
 
     u0: np.ndarray
     x_pred: np.ndarray
@@ -49,6 +57,7 @@ class ControlOutput:
     prep_us: float
     fb_us: float
     qp_iters: int
+    qp_status: str
     qp_linalg_us: float
     kkt_stationarity: float
     step_norm: float
@@ -118,6 +127,7 @@ class RtiController:
         self.fb_us = 0.0
         self.qp_solve_count = 0
         self._prepared: CondensedQp | None = None
+        self._start: IpmStart | None = None
         self.reset()
 
     def reset(self, position=(0.0, 0.0, 0.0)) -> None:
@@ -125,12 +135,19 @@ class RtiController:
         self.X[:] = dyn.hover_state(position)
         self.U[:] = self.cfg.params.hover_input()
         self._prepared = None
+        self._start = None
 
     def prepare(self, refs: ReferenceWindow) -> None:
-        """Linearize, assemble, and condense everything measurement-independent."""
+        """Linearize, assemble, condense and start the QP solve: all that needs no measurement.
+
+        A first Newton matrix that cannot be factorized does not raise
+        here; the feedback of this cycle then reports a degraded cycle.
+        """
         t0 = _us()
         qp = build_qp(self.X, self.U, refs, self.X[0], self.cfg)
         self._prepared = partial_condense(qp, self.block_size)
+        if self.solver == "riccati":
+            self._start = prepare_riccati_ipm(self._prepared.qp)
         self.prep_us = _us() - t0
 
     def feedback(self, xhat: np.ndarray) -> ControlOutput:
@@ -138,14 +155,15 @@ class RtiController:
         if self._prepared is None:
             raise RuntimeError("feedback called without a prepared cycle")
         t0 = _us()
-        cond = self._prepared
-        self._prepared = None
+        cond, start = self._prepared, self._start
+        self._prepared = self._start = None
         b0 = np.asarray(xhat, dtype=float) - self.X[0]
         cond.qp.x0_residual = b0
         cond.original.x0_residual = b0
 
         degraded = False
         qp_iters = 0
+        qp_status = "numerical_error"
         qp_linalg_us = 0.0
         kkt_stat = np.nan
         step_norm = np.nan
@@ -153,10 +171,11 @@ class RtiController:
             if self.solver == "dense":
                 csol = solve_condensed_dense(cond.qp, self.qp_tol, self.qp_max_iters)
             else:
-                csol = solve_riccati_ipm(cond.qp, self.qp_tol, self.qp_max_iters)
+                csol = solve_riccati_ipm(cond.qp, self.qp_tol, self.qp_max_iters, start)
             sol = expand(csol, cond)
             self.qp_solve_count += 1
             qp_iters = sol.iters
+            qp_status = sol.status
             qp_linalg_us = sol.linalg_us
             kkt_stat = sol.residuals.stationarity
             step_norm = max(np.abs(sol.x).max(), np.abs(sol.u).max())
@@ -184,6 +203,7 @@ class RtiController:
             prep_us=self.prep_us,
             fb_us=self.fb_us,
             qp_iters=qp_iters,
+            qp_status=qp_status,
             qp_linalg_us=qp_linalg_us,
             kkt_stationarity=kkt_stat,
             step_norm=step_norm,

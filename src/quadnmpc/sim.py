@@ -35,7 +35,11 @@ TRACE_COLUMNS = (
     "ref_x,ref_y,ref_z,prep_us,fb_us,degraded"
 )
 REFERENCE_COLUMNS = "t,x,y,z,qw,qx,qy,qz,vx,vy,vz,wx,wy,wz,u1,u2,u3,u4"
-DIAGNOSTICS_COLUMNS = "k,prep_us,fb_us,qp_linalg_us,qp_iters,kkt_stat,step_norm,degraded"
+DIAGNOSTICS_COLUMNS = (
+    "k,prep_us,fb_us,qp_linalg_us,qp_iters,qp_status,kkt_stat,step_norm,degraded"
+)
+# qp_status of a cycle without a QP (the LQR controller)
+NO_QP = "none"
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +344,7 @@ class SimTrace:
     prep_us: np.ndarray
     fb_us: np.ndarray
     qp_iters: np.ndarray
+    qp_status: np.ndarray = None
     qp_linalg_us: np.ndarray = None
     kkt_stat: np.ndarray = None
     step_norm: np.ndarray = None
@@ -349,6 +354,8 @@ class SimTrace:
 
     def __post_init__(self):
         n = len(self.t)
+        if self.qp_status is None:
+            self.qp_status = np.full(n, NO_QP)
         if self.qp_linalg_us is None:
             self.qp_linalg_us = np.zeros(n)
         if self.kkt_stat is None:
@@ -419,7 +426,7 @@ def run_closed_loop(cfg: SimConfig) -> SimTrace:
 
     rows = {name: [] for name in (
         "t", "state", "measured", "estimated", "u", "ref",
-        "prep_us", "fb_us", "qp_iters", "qp_linalg_us", "kkt_stat", "step_norm",
+        "prep_us", "fb_us", "qp_iters", "qp_status", "qp_linalg_us", "kkt_stat", "step_norm",
         "degraded",
     )}
     fallbacks = 0
@@ -457,14 +464,14 @@ def run_closed_loop(cfg: SimConfig) -> SimTrace:
             u_cmd = out.u0
             prep_us, fb_us = out.prep_us, out.fb_us
             qp_iters, step_norm, degraded = out.qp_iters, out.step_norm, out.degraded
-            qp_linalg_us = out.qp_linalg_us
+            qp_status, qp_linalg_us = out.qp_status, out.qp_linalg_us
             kkt_stat = out.kkt_stationarity
         else:
             t0 = time.perf_counter_ns()
             u_cmd = lqr_control(lqr_design, est, p_ref=source.position(t))
             fb_us = (time.perf_counter_ns() - t0) / 1000.0
             prep_us, qp_iters, step_norm, degraded = 0.0, 0, 0.0, False
-            qp_linalg_us = 0.0
+            qp_status, qp_linalg_us = NO_QP, 0.0
             kkt_stat = 0.0
 
         u_cmd = np.clip(u_cmd, cfg.ocp.u_lower, cfg.ocp.u_upper)
@@ -479,6 +486,7 @@ def run_closed_loop(cfg: SimConfig) -> SimTrace:
         rows["prep_us"].append(prep_us)
         rows["fb_us"].append(fb_us)
         rows["qp_iters"].append(qp_iters)
+        rows["qp_status"].append(qp_status)
         rows["qp_linalg_us"].append(qp_linalg_us)
         rows["kkt_stat"].append(kkt_stat)
         rows["step_norm"].append(step_norm)
@@ -508,6 +516,7 @@ def run_closed_loop(cfg: SimConfig) -> SimTrace:
         prep_us=np.array(rows["prep_us"]),
         fb_us=np.array(rows["fb_us"]),
         qp_iters=np.array(rows["qp_iters"], dtype=int),
+        qp_status=np.array(rows["qp_status"], dtype=str),
         qp_linalg_us=np.array(rows["qp_linalg_us"]),
         kkt_stat=np.array(rows["kkt_stat"]),
         step_norm=np.array(rows["step_norm"]),
@@ -679,6 +688,7 @@ def write_diagnostics_csv(path, trace: SimTrace) -> None:
                     f"{trace.fb_us[k]:.1f}",
                     f"{trace.qp_linalg_us[k]:.1f}",
                     int(trace.qp_iters[k]),
+                    trace.qp_status[k],
                     f"{trace.kkt_stat[k]:.3e}",
                     f"{trace.step_norm[k]:.6g}",
                     int(trace.degraded[k]),
@@ -687,8 +697,14 @@ def write_diagnostics_csv(path, trace: SimTrace) -> None:
 
 
 def read_diagnostics_csv(path) -> np.ndarray:
-    """Diagnostics rows as a structured array (matching the written columns)."""
-    return np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
+    """Diagnostics rows as a structured array (matching the written columns).
+
+    ``qp_status`` is a string column: ``converged``, ``max_iterations``,
+    ``numerical_error`` (a degraded cycle) or ``none`` (no QP was solved).
+    """
+    return np.atleast_1d(
+        np.genfromtxt(path, delimiter=",", names=True, dtype=None, encoding="utf-8")
+    )
 
 
 def write_reference_csv(path, source: SampledTrajectory) -> None:

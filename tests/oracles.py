@@ -9,6 +9,7 @@ validates.
 import itertools
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 
 def central_diff_jacobian(f, x, eps=1e-6):
@@ -180,3 +181,68 @@ def dense_primal_from_qp(qp, z):
         off += qp.nu
     xs.append(z[off : off + nx])
     return xs, us
+
+
+class RiccatiSweepReference:
+    """Per-stage Riccati factorization and solve of one IPM Newton system.
+
+    The textbook recursion, stage by stage: ``G = R_bar + B' P B``,
+    ``H = S + B' P A``, ``K = -G^-1 H`` and ``P = Q + A' P A + H' K``;
+    the solve runs the backward recursion on ``(rx, ru, re)`` with the
+    same factors and rolls the step forward with ``du = K dx + k``.
+    ``R_bar`` is the input Hessian with the barrier diagonal included.
+    A block that is not positive definite is retried once with 1e-10
+    added to its diagonal.
+    """
+
+    def __init__(self, qp, R_bar):
+        N, nx, nu = qp.B.shape
+        A, B, S, Q = qp.A, qp.B, qp.S, qp.Q
+        self.qp = qp
+        self.P = P = np.empty((N + 1, nx, nx))
+        self.L = np.empty((N, nu, nu))
+        self.K = np.empty((N, nu, nx))
+        self.H = np.empty((N, nu, nx))
+        P[N] = qp.Q_N
+        for i in range(N - 1, -1, -1):
+            Pn = P[i + 1]
+            PB = Pn @ B[i]
+            G = R_bar[i] + B[i].T @ PB
+            H = S[i] + PB.T @ A[i]
+            L = _cholesky_retry(0.5 * (G + G.T))
+            K = -dpotrs(L, H, lower=1)[0]
+            Pi = Q[i] + A[i].T @ (Pn @ A[i]) + H.T @ K
+            self.L[i] = L
+            self.K[i] = K
+            self.H[i] = H
+            P[i] = 0.5 * (Pi + Pi.T)
+
+    def solve(self, rx, ru, re):
+        """Newton direction ``(dx, du, dpi)`` for right-hand sides (-rx, -ru, -re)."""
+        A, B = self.qp.A, self.qp.B
+        P, L, K, H = self.P, self.L, self.K, self.H
+        N = len(L)
+        Pre = np.array([P[i + 1] @ re[i + 1] for i in range(N)])
+        p = np.empty_like(rx)
+        k = np.empty_like(ru)
+        p[N] = rx[N]
+        for i in range(N - 1, -1, -1):
+            m1 = p[i + 1] - Pre[i]
+            k[i] = -dpotrs(L[i], ru[i] + B[i].T @ m1, lower=1)[0]
+            p[i] = rx[i] + A[i].T @ m1 + H[i].T @ k[i]
+        dx = np.empty_like(rx)
+        du = np.empty_like(ru)
+        dx[0] = -re[0]
+        for i in range(N):
+            du[i] = K[i] @ dx[i] + k[i]
+            dx[i + 1] = A[i] @ dx[i] + B[i] @ du[i] - re[i + 1]
+        return dx, du, np.array([P[i] @ dx[i] for i in range(N + 1)]) + p
+
+
+def _cholesky_retry(G):
+    L, info = dpotrf(G, lower=1)
+    if info:
+        L, info = dpotrf(G + 1e-10 * np.eye(G.shape[0]), lower=1)
+        if info:
+            raise np.linalg.LinAlgError("recursion block not positive definite")
+    return L

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,9 @@ import pytest
 
 from quadnmpc.cli import main
 from quadnmpc.config import ConfigError, RunConfig
+from quadnmpc.dynamics import QuadrotorParams
+from quadnmpc.ocp import OcpConfig
+from quadnmpc.sim import SimConfig
 from quadnmpc.sim import read_diagnostics_csv, read_reference_csv, read_trace_csv
 
 
@@ -14,6 +18,19 @@ class TestConfig:
         assert rc.get("nmpc", "N") == 50
         assert rc.make_params().m == 0.033
         assert rc.make_ocp().horizon_seconds == pytest.approx(0.75)
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        rc = RunConfig()
+        assert rc.make_params() == QuadrotorParams()
+        built, default = rc.make_ocp(), OcpConfig()
+        for f in dataclasses.fields(OcpConfig):
+            np.testing.assert_array_equal(getattr(built, f.name), getattr(default, f.name))
+        sim = {f.name: f.default for f in dataclasses.fields(SimConfig)}
+        assert rc.get("qp", "solver") == sim["solver"]
+        assert rc.get("qp", "block_size") == sim["block_size"]
+        assert rc.get("qp", "tol") == sim["qp_tol"]
+        assert rc.get("qp", "max_iters") == sim["qp_max_iters"]
+        assert rc.get("rti", "split") == sim["rti_split"]
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -90,6 +107,28 @@ class TestCli:
         assert metrics["p95_cycle_us"] == pytest.approx(np.percentile(cycle_us, 95), abs=0.1)
         assert metrics["p50_cycle_us"] <= metrics["p95_cycle_us"] <= metrics["max_cycle_us"]
         assert metrics["deadline_misses"] == np.count_nonzero(cycle_us > 15000.0)
+        assert set(diag["qp_status"]) == {"converged"}
+        assert metrics["unconverged_cycles"] == 0
+
+    def test_simulate_counts_unconverged_cycles(self, tmp_path):
+        code = main(
+            [
+                "simulate",
+                "--set", "sim.scenario=step",
+                "--set", "sim.duration=0.3",
+                "--set", "nmpc.N=15",
+                "--set", "qp.max_iters=1",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        diag = read_diagnostics_csv(tmp_path / "diagnostics.csv")
+        unconverged = np.count_nonzero(diag["qp_status"] == "max_iterations")
+        assert unconverged > 0
+        assert metrics["unconverged_cycles"] == unconverged
+        assert np.all(diag["qp_iters"][diag["qp_status"] == "max_iterations"] == 1)
+        assert set(diag["qp_status"]) <= {"converged", "max_iterations"}
 
     def test_simulate_malformed_config_exits_2_without_outputs(self, tmp_path):
         cfg = tmp_path / "bad.ini"

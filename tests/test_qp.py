@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    RiccatiSweepReference,
     dense_primal_from_qp,
     solve_qp_active_set_enum,
     solve_qp_equality_kkt,
@@ -12,9 +13,12 @@ from oracles import (
 from quadnmpc.qp import (
     OcpQp,
     QpNumericalError,
+    _barrier_hessians,
+    _RiccatiSweep,
     expand,
     kkt_residuals,
     partial_condense,
+    prepare_riccati_ipm,
     solve_dense_ipm,
     solve_riccati_ipm,
 )
@@ -151,6 +155,28 @@ class TestRiccatiIpm:
         qp.R[0] = -1e6 * np.eye(2)
         with pytest.raises(QpNumericalError):
             solve_riccati_ipm(qp)
+
+    def test_prepared_start_gives_the_same_iterates(self, rng):
+        for _ in range(10):
+            qp = make_random_qp(rng, N=int(rng.integers(1, 8)))
+            x0 = qp.x0_residual.copy()
+            qp.x0_residual[:] = np.nan  # the start must not read it
+            start = prepare_riccati_ipm(qp)
+            qp.x0_residual[:] = x0
+            plain = solve_riccati_ipm(qp, 1e-8, 50)
+            for _ in range(2):  # a start is not consumed by a solve
+                sol = solve_riccati_ipm(qp, 1e-8, 50, start)
+                assert sol.iters == plain.iters and sol.status == plain.status
+                for name in ("x", "u", "pi", "lam_lo", "lam_hi"):
+                    np.testing.assert_array_equal(getattr(sol, name), getattr(plain, name))
+
+    def test_prepared_factorization_failure_raises_in_the_solve(self, rng):
+        qp = make_random_qp(rng, N=2)
+        qp.R[0] = -1e6 * np.eye(2)
+        start = prepare_riccati_ipm(qp)
+        assert start.sweep is None and isinstance(start.error, QpNumericalError)
+        with pytest.raises(QpNumericalError):
+            solve_riccati_ipm(qp, 1e-8, 50, start)
 
     def test_agrees_with_enumeration_oracle(self, rng):
         for _ in range(25):
@@ -329,3 +355,38 @@ class TestCondensingProperties:
         xs, us = dense_primal_from_qp(qp, z)
         np.testing.assert_allclose(sol.u, np.array(us), atol=1e-6)
         np.testing.assert_allclose(sol.x, np.array(xs), atol=1e-6)
+
+
+@st.composite
+def newton_systems(draw):
+    """A partially condensed QP (ragged blocks padded), a barrier diagonal and right-hand sides."""
+    N = draw(st.integers(1, 12))
+    M = draw(st.integers(1, N))
+    nx = draw(st.integers(1, 4))
+    nu = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    qp = make_random_qp(rng, N=N, nx=nx, nu=nu)
+    zero_Q = draw(st.lists(st.booleans(), min_size=N, max_size=N))
+    qp.Q[np.array(zero_Q)] = 0.0
+    if draw(st.booleans()):
+        qp.Q_N[:] = 0.0
+    cqp = partial_condense(qp, M).qp
+    nb, nU = cqp.num_stages, cqp.nu
+    D = rng.uniform(1e-3, 1e3, (nb, nU))
+    rhs = (rng.normal(size=(nb + 1, nx)), rng.normal(size=(nb, nU)), rng.normal(size=(nb + 1, nx)))
+    return cqp, D, rhs
+
+
+class TestRiccatiSweep:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(newton_systems())
+    def test_matches_per_stage_reference(self, case):
+        qp, D, (rx, ru, re) = case
+        R_bar = qp.R.copy()
+        R_bar[:, range(qp.nu), range(qp.nu)] += D
+        expected = RiccatiSweepReference(qp, R_bar).solve(rx, ru, re)
+        start = prepare_riccati_ipm(qp)
+        sweep = _RiccatiSweep(qp.A, qp.B, start.BA, _barrier_hessians(start.W, D), qp.Q_N)
+        for got, ref in zip(sweep.solve(rx, ru, re), expected):
+            scale = max(1.0, np.abs(ref).max())
+            assert np.abs(got - ref).max() <= 1e-12 * scale

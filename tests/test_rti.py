@@ -3,7 +3,13 @@ import pytest
 
 import quadnmpc.rti as rti_mod
 from quadnmpc import dynamics as dyn
-from quadnmpc.ocp import OcpConfig, ReferenceWindow, discrete_dynamics, hover_reference_window
+from quadnmpc.ocp import (
+    OcpConfig,
+    ReferenceWindow,
+    build_qp,
+    discrete_dynamics,
+    hover_reference_window,
+)
 from quadnmpc.qp import QpNumericalError
 from quadnmpc.rti import RtiController, SqpConvergenceError, solve_to_convergence
 
@@ -37,6 +43,7 @@ class TestRtiController:
         np.testing.assert_allclose(out.u0, cfg.params.hover_input(), atol=1e-6)
         assert out.step_norm <= 1e-6
         assert not out.degraded
+        assert out.qp_status == "converged"
 
     def test_one_qp_solve_per_cycle(self, cfg):
         ctrl = RtiController(cfg)
@@ -112,7 +119,31 @@ class TestRtiController:
         monkeypatch.setattr(rti_mod, "solve_riccati_ipm", boom)
         out = ctrl.cycle(dyn.hover_state(), refs)
         assert out.degraded
+        assert out.qp_status == "numerical_error"
         np.testing.assert_array_equal(out.u0, expected)
+
+    def test_indefinite_first_newton_matrix_degrades_feedback_not_prepare(
+        self, cfg, monkeypatch
+    ):
+        ctrl = RtiController(cfg)
+        refs = hover_reference_window(cfg)
+        ctrl.cycle(dyn.hover_state(), refs)
+        expected = np.clip(ctrl.U[0], cfg.u_lower, cfg.u_upper)
+        shifted = ctrl.X.copy()
+
+        def concave_build_qp(*args, **kwargs):
+            qp = build_qp(*args, **kwargs)
+            qp.R[0] = -1e6 * np.eye(qp.nu)
+            return qp
+
+        monkeypatch.setattr(rti_mod, "build_qp", concave_build_qp)
+        ctrl.prepare(refs)  # must not raise
+        assert isinstance(ctrl._start.error, QpNumericalError)
+        out = ctrl.feedback(dyn.hover_state())
+        assert out.degraded
+        assert out.qp_status == "numerical_error"
+        np.testing.assert_array_equal(out.u0, expected)
+        np.testing.assert_array_equal(out.X_pred, shifted)
 
     def test_split_and_monolithic_identical(self, cfg):
         refs = hover_reference_window(cfg, p=(0.4, 0.0, -0.2))

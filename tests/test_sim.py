@@ -372,6 +372,7 @@ class TestDiagnosticsCsv:
         assert len(back) == len(trace)
         np.testing.assert_allclose(back["qp_iters"], trace.qp_iters)
         np.testing.assert_allclose(back["degraded"], trace.degraded.astype(int))
+        np.testing.assert_array_equal(back["qp_status"], trace.qp_status)
         # times are written with one decimal
         np.testing.assert_allclose(back["qp_linalg_us"], trace.qp_linalg_us, atol=0.05)
         assert np.all(back["qp_linalg_us"] > 0.0)
