@@ -19,6 +19,7 @@ safe to call from any number of threads concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,13 +69,6 @@ class QuadrotorParams:
 
     def hover_input(self) -> np.ndarray:
         return np.full(NU, self.hover_speed())
-
-
-# Crazyflie 2.1 defaults. The flying airframe weighs 33 g; a tenfold
-# mass (0.33 kg) appears in some parameter listings but cannot hover
-# under the 22 krpm rotor-speed cap (max thrust 4*CT*22^2 ~ 0.63 N),
-# so it is available only as an explicit override.
-PUBLISHED_TABLE_MASS = 0.33
 
 
 def hover_state(p=(0.0, 0.0, 0.0)) -> np.ndarray:
@@ -220,171 +214,175 @@ def ode_rhs(xi: np.ndarray, u: np.ndarray, params: QuadrotorParams) -> np.ndarra
     )
 
 
-def ode_rhs_batch(XI: np.ndarray, U: np.ndarray, params: QuadrotorParams) -> np.ndarray:
-    """Vectorized :func:`ode_rhs` over leading batch axis (B, 13), (B, 4)."""
-    q = XI[:, QUAT]
-    v = XI[:, VEL]
-    w = XI[:, OMEGA]
-    W2 = U**2
+def ode_terms(params: QuadrotorParams) -> tuple[tuple[int, float, tuple[int, ...]], ...]:
+    """The ODE as a sum of terms ``(row, coefficient, monomial)``.
 
-    R = _rotmat_batch(q)
-    out = np.empty_like(XI)
-    out[:, POS] = np.einsum("bij,bj->bi", R, v)
-
-    qw, qx, qy, qz = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    wx, wy, wz = w[:, 0], w[:, 1], w[:, 2]
-    out[:, 3] = 0.5 * (-qx * wx - qy * wy - qz * wz)
-    out[:, 4] = 0.5 * (qw * wx + qy * wz - qz * wy)
-    out[:, 5] = 0.5 * (qw * wy - qx * wz + qz * wx)
-    out[:, 6] = 0.5 * (qw * wz + qx * wy - qy * wx)
-
-    vx, vy, vz = v[:, 0], v[:, 1], v[:, 2]
-    fz = params.CT * W2.sum(axis=1)
-    out[:, 7] = -params.g * R[:, 2, 0] - (wy * vz - wz * vy)
-    out[:, 8] = -params.g * R[:, 2, 1] - (wz * vx - wx * vz)
-    out[:, 9] = -params.g * R[:, 2, 2] - (wx * vy - wy * vx)
-    out[:, 9] += fz / params.m
-
+    A monomial is a sorted tuple of variable indices, with repeats, into
+    the 17 variables ``(xi, u)``: row ``i`` of the state derivative is the
+    sum of ``coefficient * prod(z[k] for k in monomial)`` over the terms
+    of row ``i``. The position rows are cubic (``q q v``), all others at
+    most quadratic. The coefficients come from ``params`` alone.
+    """
+    # variable indices: quaternion, body velocity, body rate, rotor speeds
+    W, X, Y, Z = 3, 4, 5, 6
+    VX, VY, VZ = 7, 8, 9
+    WX, WY, WZ = 10, 11, 12
+    ROTORS = (13, 14, 15, 16)
+    Jx, Jy, Jz = params.Jxx, params.Jyy, params.Jzz
+    # rotation matrix body -> inertial, entry by entry, as in quat_to_rotmat
+    R = (
+        ([(1, ()), (-2, (Y, Y)), (-2, (Z, Z))], [(2, (X, Y)), (-2, (W, Z))],
+         [(2, (X, Z)), (2, (W, Y))]),
+        ([(2, (X, Y)), (2, (W, Z))], [(1, ()), (-2, (X, X)), (-2, (Z, Z))],
+         [(2, (Y, Z)), (-2, (W, X))]),
+        ([(2, (X, Z)), (-2, (W, Y))], [(2, (Y, Z)), (2, (W, X))],
+         [(1, ()), (-2, (X, X)), (-2, (Y, Y))]),
+    )
+    # position: R v
+    V = (VX, VY, VZ)
+    terms = [(i, c, mono + (V[j],)) for i in range(3) for j in range(3) for c, mono in R[i][j]]
+    # attitude: 0.5 q (x) (0, w)
+    terms += [
+        (3, -0.5, (X, WX)), (3, -0.5, (Y, WY)), (3, -0.5, (Z, WZ)),
+        (4, 0.5, (W, WX)), (4, 0.5, (Y, WZ)), (4, -0.5, (Z, WY)),
+        (5, 0.5, (W, WY)), (5, -0.5, (X, WZ)), (5, 0.5, (Z, WX)),
+        (6, 0.5, (W, WZ)), (6, 0.5, (X, WY)), (6, -0.5, (Y, WX)),
+    ]
+    # body acceleration: thrust / m - R^T (0, 0, g) - w x v
+    terms += [(7 + j, -params.g * c, mono) for j in range(3) for c, mono in R[2][j]]
+    terms += [(9, params.CT / params.m, (k, k)) for k in ROTORS]
+    terms += [
+        (7, -1.0, (WY, VZ)), (7, 1.0, (WZ, VY)),
+        (8, -1.0, (WZ, VX)), (8, 1.0, (WX, VZ)),
+        (9, -1.0, (WX, VY)), (9, 1.0, (WY, VX)),
+    ]
+    # Euler's equations: J^-1 (M - w x J w), moments quadratic in rotor speed
     ctl = params.CT * params.l
-    mx = ctl * (-W2[:, 0] - W2[:, 1] + W2[:, 2] + W2[:, 3])
-    my = ctl * (-W2[:, 0] + W2[:, 1] + W2[:, 2] - W2[:, 3])
-    mz = params.CD * (-W2[:, 0] + W2[:, 1] - W2[:, 2] + W2[:, 3])
-    J = params.inertia
-    Jw = w * J
-    hx, hy, hz = Jw[:, 0], Jw[:, 1], Jw[:, 2]
-    out[:, 10] = (mx - (wy * hz - wz * hy)) / J[0]
-    out[:, 11] = (my - (wz * hx - wx * hz)) / J[1]
-    out[:, 12] = (mz - (wx * hy - wy * hx)) / J[2]
+    for row, scale, signs in (
+        (10, ctl / Jx, (-1, -1, 1, 1)),
+        (11, ctl / Jy, (-1, 1, 1, -1)),
+        (12, params.CD / Jz, (-1, 1, -1, 1)),
+    ):
+        terms += [(row, s * scale, (k, k)) for s, k in zip(signs, ROTORS)]
+    terms += [
+        (10, -Jz / Jx, (WY, WZ)), (10, Jy / Jx, (WZ, WY)),
+        (11, -Jx / Jy, (WZ, WX)), (11, Jz / Jy, (WX, WZ)),
+        (12, -Jy / Jz, (WX, WY)), (12, Jx / Jz, (WY, WX)),
+    ]
+    return tuple((row, float(c), tuple(sorted(mono))) for row, c, mono in terms)
+
+
+@dataclass(frozen=True)
+class _Table:
+    """A polynomial map ``z -> phi(z) @ C`` over ``z = (xi, u)``.
+
+    ``gather[d]`` indexes the ``d``-th factor of every distinct monomial
+    in ``[1, xi, u]`` (index 0 is the constant 1, for monomials of lower
+    degree), ``C`` holds the coefficients, and output column ``j`` is
+    entry ``outputs[j]`` of the map.
+    """
+
+    gather: np.ndarray
+    C: np.ndarray
+    outputs: np.ndarray
+
+    @classmethod
+    def of(cls, terms) -> _Table:
+        """Collect ``(output, coefficient, monomial)`` terms, summing repeats."""
+        coef = {}
+        for out, c, mono in terms:
+            coef[mono, out] = coef.get((mono, out), 0.0) + c
+        coef = {key: c for key, c in coef.items() if c != 0.0}
+        monos = sorted({mono for mono, _ in coef})
+        outputs = sorted({out for _, out in coef})
+        C = np.zeros((len(monos), len(outputs)))
+        for (mono, out), c in coef.items():
+            C[monos.index(mono), outputs.index(out)] = c
+        degree = max(map(len, monos))
+        gather = np.array(
+            [[mono[d] + 1 if d < len(mono) else 0 for mono in monos] for d in range(degree)]
+        )
+        return cls(gather, C, np.array(outputs))
+
+    def __call__(self, XI: np.ndarray, U: np.ndarray) -> np.ndarray:
+        Z = np.empty((XI.shape[0], 1 + NX + NU))
+        Z[:, 0] = 1.0
+        Z[:, 1 : 1 + NX] = XI
+        Z[:, 1 + NX :] = U
+        phi = Z[:, self.gather[0]]
+        for idx in self.gather[1:]:
+            phi *= Z[:, idx]
+        return phi @ self.C
+
+
+@functools.lru_cache(maxsize=16)
+def _tables(params: QuadrotorParams) -> tuple[_Table, _Table, int]:
+    """Tables of ODE rows 0-6 and of the Jacobian, and the Jacobian's ``fx`` entry count.
+
+    The Jacobian table differentiates every term of :func:`ode_terms`.
+    Its outputs index ``fx`` flat row-major (0-168), then ``fu`` (169-220);
+    only structurally nonzero entries are outputs.
+    """
+    terms = ode_terms(params)
+    rhs = _Table.of(t for t in terms if t[0] < 7)
+    jac = []
+    for row, c, mono in terms:
+        for k in set(mono):
+            rest = list(mono)
+            rest.remove(k)
+            out = row * NX + k if k < NX else NX * NX + row * NU + k - NX
+            jac.append((out, c * mono.count(k), tuple(rest)))
+    jac = _Table.of(jac)
+    return rhs, jac, int(np.searchsorted(jac.outputs, NX * NX))
+
+
+def ode_rhs_batch(XI: np.ndarray, U: np.ndarray, params: QuadrotorParams) -> np.ndarray:
+    """Vectorized :func:`ode_rhs` over leading batch axis (B, 13), (B, 4).
+
+    Rows 0-6 (position and attitude) come from the term table of
+    :func:`ode_terms`. Rows 7-12 keep :func:`ode_rhs`'s operation order:
+    there gravity and Coriolis terms, or moments and gyroscopic terms,
+    cancel, and a flat sum of terms loses the last digits.
+    """
+    out = np.empty_like(XI)
+    out[:, :7] = _tables(params)[0](XI, U)
+
+    qw, qx, qy, qz, vx, vy, vz, wx, wy, wz = XI[:, 3:].T
+    W2 = U**2
+    g = params.g
+    # body acceleration: thrust / m - R^T (0, 0, g) - w x v
+    out[:, 7] = -g * (2 * (qx * qz - qw * qy)) - (wy * vz - wz * vy)
+    out[:, 8] = -g * (2 * (qy * qz + qw * qx)) - (wz * vx - wx * vz)
+    out[:, 9] = -g * (1 - 2 * (qx * qx + qy * qy)) - (wx * vy - wy * vx)
+    out[:, 9] += params.CT * W2.sum(axis=1) / params.m
+
+    # Euler's equations: J^-1 (M - w x J w)
+    w0, w1, w2, w3 = W2.T
+    ctl = params.CT * params.l
+    Jx, Jy, Jz = params.Jxx, params.Jyy, params.Jzz
+    hx, hy, hz = Jx * wx, Jy * wy, Jz * wz
+    out[:, 10] = (ctl * (-w0 - w1 + w2 + w3) - (wy * hz - wz * hy)) / Jx
+    out[:, 11] = (ctl * (-w0 + w1 + w2 - w3) - (wz * hx - wx * hz)) / Jy
+    out[:, 12] = (params.CD * (-w0 + w1 - w2 + w3) - (wx * hy - wy * hx)) / Jz
     return out
-
-
-def _rotmat_batch(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    R = np.empty((q.shape[0], 3, 3))
-    R[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    R[:, 0, 1] = 2 * (x * y - w * z)
-    R[:, 0, 2] = 2 * (x * z + w * y)
-    R[:, 1, 0] = 2 * (x * y + w * z)
-    R[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    R[:, 1, 2] = 2 * (y * z - w * x)
-    R[:, 2, 0] = 2 * (x * z - w * y)
-    R[:, 2, 1] = 2 * (y * z + w * x)
-    R[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return R
 
 
 def ode_jacobians_batch(
     XI: np.ndarray, U: np.ndarray, params: QuadrotorParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized analytic Jacobians of the ODE over a batch of points.
+    """Exact Jacobians of the ODE over a batch of points, from the term table.
 
-    Returns ``(fx, fu)`` with shapes (B, 13, 13) and (B, 13, 4).
+    Returns ``(fx, fu)`` with shapes (B, 13, 13) and (B, 13, 4). Only the
+    structurally nonzero entries are evaluated, by one product.
     """
+    _, jac, n_fx = _tables(params)
+    values = jac(XI, U)
     B = XI.shape[0]
-    q = XI[:, QUAT]
-    v = XI[:, VEL]
-    w = XI[:, OMEGA]
-    qw, qx, qy, qz = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    vx, vy, vz = v[:, 0], v[:, 1], v[:, 2]
-    wx, wy, wz = w[:, 0], w[:, 1], w[:, 2]
-    zero = np.zeros(B)
-
-    fx = np.zeros((B, NX, NX))
-    fu = np.zeros((B, NX, NU))
-
-    # d(R v)/dq, one 3-column per quaternion component
-    fx[:, 0, 3] = 2 * (-qz * vy + qy * vz)
-    fx[:, 1, 3] = 2 * (qz * vx - qx * vz)
-    fx[:, 2, 3] = 2 * (-qy * vx + qx * vy)
-    fx[:, 0, 4] = 2 * (qy * vy + qz * vz)
-    fx[:, 1, 4] = 2 * (qy * vx - 2 * qx * vy - qw * vz)
-    fx[:, 2, 4] = 2 * (qz * vx + qw * vy - 2 * qx * vz)
-    fx[:, 0, 5] = 2 * (-2 * qy * vx + qx * vy + qw * vz)
-    fx[:, 1, 5] = 2 * (qx * vx + qz * vz)
-    fx[:, 2, 5] = 2 * (-qw * vx + qz * vy - 2 * qy * vz)
-    fx[:, 0, 6] = 2 * (-2 * qz * vx - qw * vy + qx * vz)
-    fx[:, 1, 6] = 2 * (qw * vx - 2 * qz * vy + qy * vz)
-    fx[:, 2, 6] = 2 * (qx * vx + qy * vy)
-    # d(R v)/dv = R
-    fx[:, POS, VEL] = _rotmat_batch(q)
-
-    # quaternion kinematics: dq_dot/dq = 0.5 * Xi(omega), dq_dot/domega
-    half = 0.5
-    fx[:, 3, 4] = -half * wx
-    fx[:, 3, 5] = -half * wy
-    fx[:, 3, 6] = -half * wz
-    fx[:, 4, 3] = half * wx
-    fx[:, 4, 5] = half * wz
-    fx[:, 4, 6] = -half * wy
-    fx[:, 5, 3] = half * wy
-    fx[:, 5, 4] = -half * wz
-    fx[:, 5, 6] = half * wx
-    fx[:, 6, 3] = half * wz
-    fx[:, 6, 4] = half * wy
-    fx[:, 6, 5] = -half * wx
-
-    fx[:, 3, 10] = -half * qx
-    fx[:, 3, 11] = -half * qy
-    fx[:, 3, 12] = -half * qz
-    fx[:, 4, 10] = half * qw
-    fx[:, 4, 11] = -half * qz
-    fx[:, 4, 12] = half * qy
-    fx[:, 5, 10] = half * qz
-    fx[:, 5, 11] = half * qw
-    fx[:, 5, 12] = -half * qx
-    fx[:, 6, 10] = -half * qy
-    fx[:, 6, 11] = half * qx
-    fx[:, 6, 12] = half * qw
-
-    # body acceleration: -g * d(R[2,:])/dq, -skew(omega), +skew(v)
-    g2 = -2 * params.g
-    fx[:, 7, 3] = g2 * -qy
-    fx[:, 8, 3] = g2 * qx
-    fx[:, 9, 3] = zero
-    fx[:, 7, 4] = g2 * qz
-    fx[:, 8, 4] = g2 * qw
-    fx[:, 9, 4] = g2 * -2 * qx
-    fx[:, 7, 5] = g2 * -qw
-    fx[:, 8, 5] = g2 * qz
-    fx[:, 9, 5] = g2 * -2 * qy
-    fx[:, 7, 6] = g2 * qx
-    fx[:, 8, 6] = g2 * qy
-    fx[:, 9, 6] = zero
-
-    fx[:, 7, 8] = wz
-    fx[:, 7, 9] = -wy
-    fx[:, 8, 7] = -wz
-    fx[:, 8, 9] = wx
-    fx[:, 9, 7] = wy
-    fx[:, 9, 8] = -wx
-
-    fx[:, 7, 11] = -vz
-    fx[:, 7, 12] = vy
-    fx[:, 8, 10] = vz
-    fx[:, 8, 12] = -vx
-    fx[:, 9, 10] = -vy
-    fx[:, 9, 11] = vx
-
-    # angular acceleration: J^-1 (skew(J w) - skew(w) J)
-    Jx, Jy, Jz = params.inertia
-    fx[:, 10, 11] = (Jy - Jz) / Jx * wz
-    fx[:, 10, 12] = (Jy - Jz) / Jx * wy
-    fx[:, 11, 10] = (Jz - Jx) / Jy * wz
-    fx[:, 11, 12] = (Jz - Jx) / Jy * wx
-    fx[:, 12, 10] = (Jx - Jy) / Jz * wy
-    fx[:, 12, 11] = (Jx - Jy) / Jz * wx
-
-    # input Jacobian: thrust and moments are quadratic in rotor speed
-    two_ct = 2 * params.CT
-    fu[:, 9, :] = two_ct / params.m * U
-    ctl = params.CT * params.l
-    sx = np.array([-1.0, -1.0, 1.0, 1.0])
-    sy = np.array([-1.0, 1.0, 1.0, -1.0])
-    sz = np.array([-1.0, 1.0, -1.0, 1.0])
-    fu[:, 10, :] = 2 * ctl / Jx * sx * U
-    fu[:, 11, :] = 2 * ctl / Jy * sy * U
-    fu[:, 12, :] = 2 * params.CD / Jz * sz * U
-    return fx, fu
+    fx = np.zeros((B, NX * NX))
+    fx[:, jac.outputs[:n_fx]] = values[:, :n_fx]
+    fu = np.zeros((B, NX * NU))
+    fu[:, jac.outputs[n_fx:] - NX * NX] = values[:, n_fx:]
+    return fx.reshape(B, NX, NX), fu.reshape(B, NX, NU)
 
 
 # ---------------------------------------------------------------------------

@@ -122,35 +122,31 @@ def discrete_jacobians_batch(XI, U, dt, params):
     """Exact sensitivities of the RK4 step, chained through its four stages.
 
     Returns ``(X_next, A, B)`` with shapes (B, 13), (B, 13, 13), (B, 13, 4).
+    Stage ``k`` evaluates the slope ``K_k`` at ``x + c_k K_{k-1}``; its
+    sensitivities are ``Dx_k = fx + c_k fx Dx_{k-1}`` and
+    ``Du_k = fu + c_k fx Du_{k-1}``.
     """
-    I = np.eye(dyn.NX)
     h = dt
-
-    K1 = dyn.ode_rhs_batch(XI, U, params)
-    J1x, J1u = dyn.ode_jacobians_batch(XI, U, params)
-
-    X2 = XI + 0.5 * h * K1
-    K2 = dyn.ode_rhs_batch(X2, U, params)
-    f2x, f2u = dyn.ode_jacobians_batch(X2, U, params)
-    J2x = f2x @ (I + 0.5 * h * J1x)
-    J2u = f2x @ (0.5 * h * J1u) + f2u
-
-    X3 = XI + 0.5 * h * K2
-    K3 = dyn.ode_rhs_batch(X3, U, params)
-    f3x, f3u = dyn.ode_jacobians_batch(X3, U, params)
-    J3x = f3x @ (I + 0.5 * h * J2x)
-    J3u = f3x @ (0.5 * h * J2u) + f3u
-
-    X4 = XI + h * K3
-    K4 = dyn.ode_rhs_batch(X4, U, params)
-    f4x, f4u = dyn.ode_jacobians_batch(X4, U, params)
-    J4x = f4x @ (I + h * J3x)
-    J4u = f4x @ (h * J3u) + f4u
-
-    X_next = XI + (h / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
-    A = I + (h / 6.0) * (J1x + 2 * J2x + 2 * J3x + J4x)
-    B = (h / 6.0) * (J1u + 2 * J2u + 2 * J3u + J4u)
-    return X_next, A, B
+    K = dyn.ode_rhs_batch(XI, U, params)
+    Dx, Du = dyn.ode_jacobians_batch(XI, U, params)
+    K_sum, A, B = K.copy(), Dx.copy(), Du.copy()
+    for c, weight in ((0.5 * h, 2.0), (0.5 * h, 2.0), (h, 1.0)):
+        X = XI + c * K
+        K = dyn.ode_rhs_batch(X, U, params)
+        fx, fu = dyn.ode_jacobians_batch(X, U, params)
+        Dx = np.matmul(fx, Dx)
+        Dx *= c
+        Dx += fx
+        Du = np.matmul(fx, Du)
+        Du *= c
+        Du += fu
+        K_sum += weight * K
+        A += weight * Dx
+        B += weight * Du
+    A *= h / 6.0
+    A += np.eye(dyn.NX)
+    B *= h / 6.0
+    return XI + (h / 6.0) * K_sum, A, B
 
 
 def discrete_jacobians(xi, u, dt, params):
@@ -160,56 +156,8 @@ def discrete_jacobians(xi, u, dt, params):
 
 
 # ---------------------------------------------------------------------------
-# stage linearization and QP assembly
+# QP assembly
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class StageLinearization:
-    """Affine prediction model and quadratic cost of one shooting stage.
-
-    ``d`` is the affine constant ``F(xbar, ubar) - A xbar - B ubar`` of
-    the linearized prediction model; ``x_next`` keeps the nonlinear
-    prediction itself for defect bookkeeping.
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-    d: np.ndarray
-    Q: np.ndarray
-    R: np.ndarray
-    q: np.ndarray
-    r: np.ndarray
-    g_lower: np.ndarray
-    g_upper: np.ndarray
-    x_next: np.ndarray
-
-
-def linearize_stage(
-    xbar: np.ndarray, ubar: np.ndarray, ref: np.ndarray, cfg: OcpConfig
-) -> StageLinearization:
-    """Linearize one stage of the tracking problem at ``(xbar, ubar)``.
-
-    The residual is the identity in ``(state, input)``, so the Hessian
-    blocks are the constant diagonal weights and the gradients are the
-    weighted deviations from the stage reference.
-    """
-    x_next, A, B = discrete_jacobians(xbar, ubar, cfg.dt, cfg.params)
-    ref = np.asarray(ref, dtype=float)
-    Wx = cfg.W[: dyn.NX]
-    Wu = cfg.W[dyn.NX :]
-    return StageLinearization(
-        A=A,
-        B=B,
-        d=x_next - A @ xbar - B @ ubar,
-        Q=np.diag(Wx),
-        R=np.diag(Wu),
-        q=Wx * (xbar - ref[: dyn.NX]),
-        r=Wu * (ubar - ref[dyn.NX :]),
-        g_lower=cfg.u_lower - ubar,
-        g_upper=cfg.u_upper - ubar,
-        x_next=x_next,
-    )
 
 
 def build_qp(
@@ -240,7 +188,7 @@ def build_qp(
     return OcpQp(
         A=A,
         B=B,
-        d=X_next - np.einsum("nij,nj->ni", A, X[:-1]) - np.einsum("nij,nj->ni", B, U),
+        d=X_next - np.matmul(A, X[:-1, :, None])[:, :, 0] - np.matmul(B, U[:, :, None])[:, :, 0],
         Q=np.tile(np.diag(Wx), (N, 1, 1)),
         R=np.tile(np.diag(Wu), (N, 1, 1)),
         q=Wx * (X[:-1] - refs.stages[:, : dyn.NX]),

@@ -32,6 +32,7 @@ is single-threaded.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -151,7 +152,7 @@ class KktResiduals:
 
 @dataclass
 class QpSolution:
-    """Primal-dual solution; residuals are recomputed from the point itself.
+    """Primal-dual solution and the KKT residuals at that point.
 
     ``x`` and ``pi`` are (N+1, nx), ``u``, ``lam_lo`` and ``lam_hi``
     (N, nu). ``linalg_us`` accumulates the time spent factorizing and
@@ -193,17 +194,21 @@ def _residuals(qp: OcpQp, c: np.ndarray, x, u, pi, lam_lo, lam_hi):
 def kkt_residuals(qp: OcpQp, sol: QpSolution) -> KktResiduals:
     """Infinity norms of the four KKT residual groups at ``sol``."""
     rx, ru, re = _residuals(qp, qp.defects(), sol.x, sol.u, sol.pi, sol.lam_lo, sol.lam_hi)
-    sl = sol.u - qp.lb
-    su = qp.ub - sol.u
+    v = np.empty((2, 2) + sol.u.shape)
+    np.subtract(sol.u, qp.lb, out=v[0, 0])
+    np.subtract(qp.ub, sol.u, out=v[0, 1])
+    v[1] = sol.lam_lo, sol.lam_hi
+    return _kkt_norms(rx, ru, re, v, v[1] * v[0])
+
+
+def _kkt_norms(rx, ru, re, v, rc) -> KktResiduals:
+    """The residual norms from ``_residuals``, the bound slacks and duals ``v``
+    stacked (2, 2, N, nu) as in the IPM, and the complementarity ``rc``."""
     return KktResiduals(
         stationarity=float(max(np.abs(rx).max(), np.abs(ru).max())),
         equality=float(np.abs(re).max()),
-        inequality=float(
-            max(0.0, (-sl).max(), (-su).max(), (-sol.lam_lo).max(), (-sol.lam_hi).max())
-        ),
-        complementarity=float(
-            max(np.abs(sol.lam_lo * sl).max(), np.abs(sol.lam_hi * su).max())
-        ),
+        inequality=float(max(0.0, -v.min())),
+        complementarity=float(np.abs(rc).max()),
     )
 
 
@@ -235,17 +240,38 @@ def _blocked(qp: OcpQp, M: int):
     return [a.reshape((-1, M) + a.shape[1:]) for a in arrays]
 
 
+@functools.lru_cache(maxsize=64)
+def _hessian_indices(nx: int, nu: int, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices into a condensed block Hessian in ``(x_s, u_0, ..., u_{M-1})``.
+
+    Returns the strict lower triangle, the mirror image of each of its
+    entries, and the entries of the ``M`` diagonal input blocks, block by
+    block in row-major order.
+    """
+    n = nx + M * nu
+    i, j = np.tril_indices(n, -1)
+    start = nx + nu * np.arange(M)[:, None, None]
+    rows = start + np.arange(nu)[:, None]
+    cols = start + np.arange(nu)[None, :]
+    return i * n + j, j * n + i, (rows * n + cols).ravel()
+
+
 def partial_condense(qp: OcpQp, M: int) -> CondensedQp:
     """Eliminate intermediate states in blocks of ``M`` stages.
 
     Within every block the states after the first are substituted out
     through the continuity constraints, leaving one state variable per
     block and a stacked input vector of ``M * nu`` components. All
-    blocks are condensed together, one stage position at a time; a
-    ragged last block is padded with inert inputs that :func:`expand`
-    drops again. ``M = 1`` is the identity transformation,
-    ``M = num_stages`` the fully condensed problem. Stage costs must be
-    separable (no state-input cross terms) on entry.
+    blocks are condensed together by HPIPM's recursion: a backward pass
+    carries the state cost back through the dynamics,
+    ``P_j = Q_j + A_j' P_{j+1} A_j`` from ``P_M = 0``, and a forward pass
+    over the rollout ``x_j = T_j x_s + G_j U + f_j`` forms the Hessian
+    column block of input ``j`` as ``[T_{j+1} G_{j+1}]' P_{j+1} B_j``, so
+    the cost per block grows with the square of ``M``. A ragged last
+    block is padded with inert inputs that :func:`expand` drops again.
+    ``M = 1`` is the identity transformation, ``M = num_stages`` the
+    fully condensed problem. Stage costs must be separable (no
+    state-input cross terms) on entry.
     """
     N = qp.num_stages
     if not 1 <= M <= N:
@@ -256,50 +282,62 @@ def partial_condense(qp: OcpQp, M: int) -> CondensedQp:
     nx, nu = qp.nx, qp.nu
     A, B, c, Q, q, R, r, lb, ub, ubar = _blocked(qp, M)
     nb = A.shape[0]
-    mU = M * nu
-    # rollout map of the current stage: x = T x_s + G U + f
-    T = np.broadcast_to(np.eye(nx), (nb, nx, nx))
-    G = np.zeros((nb, nx, mU))
-    f = np.zeros((nb, nx))
-    Qb = np.zeros((nb, nx, nx))
-    qb = np.zeros((nb, nx))
-    Rb = np.zeros((nb, mU, mU))
-    Sb = np.zeros((nb, mU, nx))
-    rb = np.zeros((nb, mU))
-    for j in range(M):
-        # only the columns of earlier inputs, [0, k), are nonzero in G
-        k = j * nu
-        cols = slice(k, k + nu)
-        Tt = T.swapaxes(1, 2)
-        Gk = G[:, :, :k]
-        Gkt = Gk.swapaxes(1, 2)
-        QT = Q[:, j] @ T
-        Qb += Tt @ QT
-        w = _mv(Q[:, j], f) + q[:, j]
-        qb += _mv(Tt, w)
-        Rb[:, cols, cols] += R[:, j]
-        Rb[:, :k, :k] += Gkt @ (Q[:, j] @ Gk)
-        Sb[:, :k] += Gkt @ QT
-        rb[:, cols] += r[:, j]
-        rb[:, :k] += _mv(Gkt, w)
-        f = _mv(A[:, j], f) + c[:, j]
-        G[:, :, :k] = A[:, j] @ Gk
-        G[:, :, cols] = B[:, j]
-        T = A[:, j] @ T
+    nw = nx + M * nu
+    # backward, from P_{M-1} = Q_{M-1}: P_{j+1} B_j for every stage but the
+    # last (whose P_M is zero), kept next to a column for the gradient below
+    PBw = np.empty((nb, M - 1, nx, nu + 1))
+    P = Q[:, M - 1]
+    for j in range(M - 2, -1, -1):
+        np.matmul(P, B[:, j], out=PBw[:, j, :, :nu])
+        P = A[:, j].swapaxes(1, 2) @ (P @ A[:, j])
+        P += Q[:, j]
+    # forward: the rollout offsets f_j (x_s = 0, U = 0) of every stage, and
+    # the gradient column of the products below, Q_{j+1} f_{j+1} + q_{j+1}
+    F = np.empty((nb, M, nx))
+    F[:, 0] = 0.0
+    for j in range(M - 1):
+        F[:, j + 1] = _mv(A[:, j], F[:, j]) + c[:, j]
+    f = _mv(A[:, M - 1], F[:, M - 1]) + c[:, M - 1]
+    PBw[:, :, :, nu] = _mv(Q[:, 1:], F[:, 1:]) + q[:, 1:]
+    # TG = [T_{j+1} G_{j+1}], the rollout after stage j, has its first
+    # nx + (j+1) nu columns nonzero. W is the block's Hessian in (x_s, U),
+    # filled in its upper triangle, and g its gradient
+    TG = np.zeros((nb, nx, nw))
+    TG[:, :, :nx] = A[:, 0]
+    TG[:, :, nx : nx + nu] = B[:, 0]
+    W = np.zeros((nb, nw, nw))
+    W[:, :nx, :nx] = P
+    g = np.empty((nb, nw))
+    g[:, :nx] = q[:, 0]
+    g[:, nx:] = r.reshape(nb, -1)
+    for j in range(M - 1):
+        # one product gives input j's Hessian column and stage j+1's gradient
+        k = nx + (j + 1) * nu
+        H = TG[:, :, :k].swapaxes(1, 2) @ PBw[:, j]
+        W[:, :k, k - nu : k] = H[:, :, :nu]
+        g[:, :k] += H[:, :, nu]
+        TG[:, :, :k] = A[:, j + 1] @ TG[:, :, :k]
+        TG[:, :, k : k + nu] = B[:, j + 1]
+    lower, upper, diagonal = _hessian_indices(nx, nu, M)
+    W = W.reshape(nb, -1)
+    W[:, diagonal] += R.reshape(nb, -1)
+    W[:, lower] = W[:, upper]
+    W = W.reshape(nb, nw, nw)
+    T, G = TG[:, :, :nx], TG[:, :, nx:]
     xb = qp.xbar[:N:M]
-    Ub = ubar.reshape(nb, mU)
+    Ub = ubar.reshape(nb, -1)
     x_next = qp.xbar[np.minimum(np.arange(1, nb + 1) * M, N)]
     cqp = OcpQp(
         A=T,
         B=G,
         d=f - (_mv(T, xb) + _mv(G, Ub) - x_next),
-        Q=0.5 * (Qb + Qb.swapaxes(1, 2)),
-        R=0.5 * (Rb + Rb.swapaxes(1, 2)),
-        q=qb,
-        r=rb,
-        lb=lb.reshape(nb, mU),
-        ub=ub.reshape(nb, mU),
-        S=Sb,
+        Q=W[:, :nx, :nx],
+        R=W[:, nx:, nx:],
+        q=g[:, :nx],
+        r=g[:, nx:],
+        lb=lb.reshape(nb, -1),
+        ub=ub.reshape(nb, -1),
+        S=W[:, nx:, :nx],
         Q_N=qp.Q_N.copy(),
         q_N=qp.q_N.copy(),
         x0_residual=qp.x0_residual.copy(),
@@ -620,7 +658,8 @@ def _riccati_ipm(qp: OcpQp, tol: float, max_iters: int, start: IpmStart) -> QpSo
         u = u + alpha * du
         lam += alpha * dv[1]
 
-    sol = QpSolution(
+    # the last residuals were computed at the returned point
+    return QpSolution(
         x=x,
         u=u,
         pi=pi,
@@ -628,10 +667,9 @@ def _riccati_ipm(qp: OcpQp, tol: float, max_iters: int, start: IpmStart) -> QpSo
         lam_hi=lam[1],
         iters=iters,
         status=status,
+        residuals=_kkt_norms(rx, ru, re, v, rc),
         linalg_us=linalg_ns / 1000.0,
     )
-    sol.residuals = kkt_residuals(qp, sol)
-    return sol
 
 
 # ---------------------------------------------------------------------------

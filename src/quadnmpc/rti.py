@@ -46,8 +46,9 @@ class ControlOutput:
     """One feedback result: applied input, one-step-ahead prediction, diagnostics.
 
     ``qp_status`` is the QP solver's status (``converged`` or
-    ``max_iterations``), or ``numerical_error`` when the solve raised and
-    the cycle is degraded.
+    ``max_iterations``), or ``numerical_error`` when the solve raised or
+    the state estimate was not finite, and the cycle is degraded: the
+    guess is shifted without a step and ``u0`` is its clipped first input.
     """
 
     u0: np.ndarray
@@ -151,7 +152,11 @@ class RtiController:
         self.prep_us = _us() - t0
 
     def feedback(self, xhat: np.ndarray) -> ControlOutput:
-        """Inject the estimated state, solve the QP, step, and shift the guess."""
+        """Inject the estimated state, solve the QP, step, and shift the guess.
+
+        A non-finite ``xhat`` is not passed to the solver: the cycle is
+        degraded like one whose QP solve failed.
+        """
         if self._prepared is None:
             raise RuntimeError("feedback called without a prepared cycle")
         t0 = _us()
@@ -168,6 +173,8 @@ class RtiController:
         kkt_stat = np.nan
         step_norm = np.nan
         try:
+            if not np.isfinite(b0).all():
+                raise QpNumericalError("non-finite state estimate")
             if self.solver == "dense":
                 csol = solve_condensed_dense(cond.qp, self.qp_tol, self.qp_max_iters)
             else:

@@ -246,3 +246,131 @@ def _cholesky_retry(G):
         if info:
             raise np.linalg.LinAlgError("recursion block not positive definite")
     return L
+
+
+class CondenseReference:
+    """Partial condensing by the forward rollout, one stage position at a time.
+
+    Every block of ``M`` stages is rolled out as ``x = T x_s + G U + f``
+    and each stage cost is added through that map (``G' Q G`` on the
+    inputs so far), so the cost per block grows with the cube of ``M``.
+    A ragged last block is padded with inert stages: identity dynamics,
+    no state cost, unit input cost, zero input gradient, bounds +-1 and
+    zero input columns. The attributes are the arrays of the condensed QP:
+    ``A, B, d, Q, R, S, q, r, lb, ub, Q_N, q_N, x0_residual, xbar, ubar``.
+    """
+
+    def __init__(self, qp, M):
+        N, nx, nu = qp.B.shape
+        c = qp.d + _mv(qp.A, qp.xbar[:-1]) + _mv(qp.B, qp.ubar) - qp.xbar[1:]
+        arrays = [qp.A, qp.B, c, qp.Q, qp.q, qp.R, qp.r, qp.lb, qp.ub, qp.ubar]
+        pad = -N % M
+        fills = [np.eye(nx), 0.0, 0.0, 0.0, 0.0, np.eye(nu), 0.0, -1.0, 1.0, 0.0]
+        arrays = [
+            np.concatenate([a, np.broadcast_to(fill, (pad,) + a.shape[1:])])
+            for a, fill in zip(arrays, fills)
+        ]
+        A, B, c, Q, q, R, r, lb, ub, ubar = [a.reshape((-1, M) + a.shape[1:]) for a in arrays]
+        nb = A.shape[0]
+        mU = M * nu
+        T = np.broadcast_to(np.eye(nx), (nb, nx, nx))
+        G = np.zeros((nb, nx, mU))
+        f = np.zeros((nb, nx))
+        Qb = np.zeros((nb, nx, nx))
+        qb = np.zeros((nb, nx))
+        Rb = np.zeros((nb, mU, mU))
+        Sb = np.zeros((nb, mU, nx))
+        rb = np.zeros((nb, mU))
+        for j in range(M):
+            k = j * nu
+            cols = slice(k, k + nu)
+            Tt = T.swapaxes(1, 2)
+            Gk = G[:, :, :k]
+            Gkt = Gk.swapaxes(1, 2)
+            QT = Q[:, j] @ T
+            Qb += Tt @ QT
+            w = _mv(Q[:, j], f) + q[:, j]
+            qb += _mv(Tt, w)
+            Rb[:, cols, cols] += R[:, j]
+            Rb[:, :k, :k] += Gkt @ (Q[:, j] @ Gk)
+            Sb[:, :k] += Gkt @ QT
+            rb[:, cols] += r[:, j]
+            rb[:, :k] += _mv(Gkt, w)
+            f = _mv(A[:, j], f) + c[:, j]
+            G[:, :, :k] = A[:, j] @ Gk
+            G[:, :, cols] = B[:, j]
+            T = A[:, j] @ T
+        xb = qp.xbar[:N:M]
+        Ub = ubar.reshape(nb, mU)
+        x_next = qp.xbar[np.minimum(np.arange(1, nb + 1) * M, N)]
+        self.A, self.B = T, G
+        self.d = f - (_mv(T, xb) + _mv(G, Ub) - x_next)
+        self.Q = 0.5 * (Qb + Qb.swapaxes(1, 2))
+        self.R = 0.5 * (Rb + Rb.swapaxes(1, 2))
+        self.S = Sb
+        self.q, self.r = qb, rb
+        self.lb, self.ub = lb.reshape(nb, mU), ub.reshape(nb, mU)
+        self.Q_N, self.q_N, self.x0_residual = qp.Q_N, qp.q_N, qp.x0_residual
+        self.xbar = np.concatenate([xb, qp.xbar[N:]])
+        self.ubar = Ub
+
+
+def _mv(M, v):
+    return np.einsum("nij,nj->ni", M, v)
+
+
+def _skew(a):
+    return np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
+
+
+def ode_vector_form(xi, u, params):
+    """The quadrotor ODE in matrix-vector form; real or complex arguments.
+
+    ``R = I + 2 qw [qv]x + 2 [qv]x^2`` (equal to the entrywise rotation
+    matrix for any quaternion, unit or not), ``q_dot = 0.5 L(q) (0, w)``
+    with the left-multiplication matrix of the Hamilton product, thrust
+    and moments from a mixing matrix applied to the squared rotor speeds,
+    and Euler's equations with ``np.cross``. Nothing here takes an
+    absolute value or a conjugate, so complex-step derivatives are exact.
+    """
+    qw, qx, qy, qz = xi[3:7]
+    v, w = xi[7:10], xi[10:13]
+    K = _skew(xi[4:7])
+    R = np.eye(3) + 2.0 * qw * K + 2.0 * K @ K
+    Lq = np.array([[qw, -qx, -qy, -qz], [qx, qw, -qz, qy], [qy, qz, qw, -qx], [qz, -qy, qx, qw]])
+    ct, ctl, cd = params.CT, params.CT * params.l, params.CD
+    mix = np.array(
+        [[ct, ct, ct, ct], [-ctl, -ctl, ctl, ctl], [-ctl, ctl, ctl, -ctl], [-cd, cd, -cd, cd]]
+    )
+    thrust, *moment = mix @ (u * u)
+    J = params.inertia
+    e3 = np.array([0.0, 0.0, 1.0])
+    return np.concatenate(
+        [
+            R @ v,
+            0.5 * Lq[:, 1:] @ w,
+            (thrust / params.m) * e3 - params.g * (R.T @ e3) - np.cross(w, v),
+            (np.array(moment) - np.cross(w, J * w)) / J,
+        ]
+    )
+
+
+def rk4_vector_form(xi, u, dt, params):
+    """One classical RK4 step of :func:`ode_vector_form`; real or complex arguments."""
+    f = lambda x: ode_vector_form(x, u, params)
+    k1 = f(xi)
+    k2 = f(xi + 0.5 * dt * k1)
+    k3 = f(xi + 0.5 * dt * k2)
+    k4 = f(xi + dt * k3)
+    return xi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def complex_step_jacobian(f, x, h=1e-30):
+    """Jacobian of a real-analytic ``f`` at real ``x`` by the complex step ``Im f(x + ih e_k) / h``."""
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for k in range(x.size):
+        xc = x.astype(complex)
+        xc[k] += 1j * h
+        cols.append(np.imag(f(xc)) / h)
+    return np.array(cols).T

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_state, random_unit_quat
-from oracles import central_diff_jacobian, forces_moments
+from oracles import central_diff_jacobian, complex_step_jacobian, forces_moments, ode_vector_form
 from quadnmpc.dynamics import (
     NX,
     QuadrotorParams,
@@ -13,6 +13,7 @@ from quadnmpc.dynamics import (
     ode_jacobians_batch,
     ode_rhs,
     ode_rhs_batch,
+    ode_terms,
     quat_from_rotvec,
     quat_multiply,
     quat_normalize,
@@ -223,6 +224,33 @@ class TestOde:
             fu_fd = central_diff_jacobian(lambda v: ode_rhs(xi, v, params), u)
             assert np.abs(fx - fx_fd).max() / np.abs(fx).max() < 1e-6
             assert np.abs(fu - fu_fd).max() / np.abs(fu).max() < 1e-6
+
+    def test_term_table_matches_batch_rhs(self, rng):
+        # the table's flat sum of terms against the kernel, on the property test's ranges
+        params = ASYMMETRIC
+        B = 2000
+        hi = np.repeat([10.0, 1.5, 5.0, 50.0, 22.0], [3, 4, 3, 3, 4])
+        Z = rng.uniform(np.r_[-hi[:NX], np.zeros(4)], hi, (B, NX + 4))
+        f = np.zeros((B, NX))
+        scale = np.zeros((B, NX))
+        for row, c, mono in ode_terms(params):
+            value = c * np.prod(Z[:, list(mono)], axis=1)
+            f[:, row] += value
+            scale[:, row] += np.abs(value)
+        batch = ode_rhs_batch(Z[:, :NX], Z[:, NX:], params)
+        assert np.all(np.abs(f - batch) <= 1e-14 * scale)
+
+    def test_jacobians_match_complex_step(self, rng):
+        # exact derivatives of the independent vector form, quaternions off the unit sphere
+        params = ASYMMETRIC
+        for _ in range(50):
+            xi = random_state(rng, rate_scale=10.0)
+            xi[3:7] *= rng.uniform(0.5, 1.5)
+            u = rng.uniform(0.0, 22.0, 4)
+            fx, fu = (J[0] for J in ode_jacobians_batch(xi[None, :], u[None, :], params))
+            J = complex_step_jacobian(lambda z: ode_vector_form(z[:NX], z[NX:], params), np.r_[xi, u])
+            assert np.abs(fx - J[:, :NX]).max() <= 1e-13 * np.abs(J[:, :NX]).max()
+            assert np.abs(fu - J[:, NX:]).max() <= 1e-13 * np.abs(J[:, NX:]).max()
 
     def test_jacobian_batch_matches_single(self, params, rng):
         XI = np.array([random_state(rng) for _ in range(8)])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_state
-from oracles import central_diff_jacobian
+from oracles import central_diff_jacobian, complex_step_jacobian, rk4_vector_form
 from quadnmpc import dynamics as dyn
 from quadnmpc.ocp import (
     DEFAULT_STATE_WEIGHT,
@@ -11,8 +11,8 @@ from quadnmpc.ocp import (
     build_qp,
     discrete_dynamics,
     discrete_jacobians,
+    discrete_jacobians_batch,
     hover_reference_window,
-    linearize_stage,
 )
 
 
@@ -80,6 +80,20 @@ class TestSensitivities:
             assert np.abs(A - A_fd).max() / np.abs(A).max() < 1e-5
             assert np.abs(B - B_fd).max() / np.abs(B).max() < 1e-5
 
+    def test_batch_matches_complex_step_of_vector_form(self, rng):
+        params = dyn.QuadrotorParams(Jyy=1.7e-5)
+        dt = 0.015
+        XI = np.array([random_state(rng, rate_scale=10.0) for _ in range(20)])
+        XI[:, 3:7] *= rng.uniform(0.5, 1.5, (20, 1))
+        U = rng.uniform(0.0, 22.0, (20, 4))
+        _, A, B = discrete_jacobians_batch(XI, U, dt, params)
+        for i in range(20):
+            AB = np.concatenate([A[i], B[i]], axis=1)
+            J = complex_step_jacobian(
+                lambda z: rk4_vector_form(z[:13], z[13:], dt, params), np.r_[XI[i], U[i]]
+            )
+            assert np.abs(AB - J).max() <= 1e-12 * np.abs(J).max()
+
     def test_predicted_state_consistency(self, cfg, rng):
         xi = random_state(rng)
         u = rng.uniform(2, 20, 4)
@@ -89,40 +103,54 @@ class TestSensitivities:
         )
 
 
+def random_guess(cfg, rng):
+    X = np.array([random_state(rng) for _ in range(cfg.N + 1)])
+    U = rng.uniform(2, 20, (cfg.N, 4))
+    return X, U
+
+
+def window_of(cfg, row):
+    """A constant reference window with stage row ``row`` (17 entries)."""
+    return ReferenceWindow(stages=np.tile(row, (cfg.N, 1)), terminal=row[:13])
+
+
 class TestStageLinearization:
+    """Rows of ``build_qp``: each stage's affine model, cost and bounds."""
+
     def test_zero_gradient_at_reference(self, cfg):
-        xi = dyn.hover_state()
-        u = cfg.params.hover_input()
-        ref = np.concatenate([xi, u])
-        lin = linearize_stage(xi, u, ref, cfg)
-        np.testing.assert_allclose(lin.q, 0)
-        np.testing.assert_allclose(lin.r, 0)
+        X, U = hover_guess(cfg)
+        ref = np.concatenate([X[0], U[0]])
+        qp = build_qp(X, U, window_of(cfg, ref), X[0], cfg)
+        np.testing.assert_allclose(qp.q[0], 0)
+        np.testing.assert_allclose(qp.r[0], 0)
 
     def test_hessian_blocks_are_the_weights(self, cfg, rng):
-        xi = random_state(rng)
-        u = rng.uniform(2, 20, 4)
-        ref = rng.normal(size=17)
-        lin = linearize_stage(xi, u, ref, cfg)
-        np.testing.assert_array_equal(np.diag(lin.Q), DEFAULT_STATE_WEIGHT)
-        np.testing.assert_array_equal(np.diag(lin.R), cfg.W[13:])
+        X, U = random_guess(cfg, rng)
+        qp = build_qp(X, U, window_of(cfg, rng.normal(size=17)), X[0], cfg)
+        np.testing.assert_array_equal(np.diag(qp.Q[0]), DEFAULT_STATE_WEIGHT)
+        np.testing.assert_array_equal(np.diag(qp.R[0]), cfg.W[13:])
 
     def test_hessian_constant_across_linearizations(self, cfg, rng):
         # identity residuals make the Gauss-Newton blocks iteration-independent
-        a = linearize_stage(random_state(rng), rng.uniform(2, 20, 4), rng.normal(size=17), cfg)
-        b = linearize_stage(random_state(rng), rng.uniform(2, 20, 4), rng.normal(size=17), cfg)
-        assert np.array_equal(a.Q, b.Q)
-        assert np.array_equal(a.R, b.R)
+        X, U = random_guess(cfg, rng)
+        a = build_qp(X, U, window_of(cfg, rng.normal(size=17)), X[0], cfg)
+        X, U = random_guess(cfg, rng)
+        b = build_qp(X, U, window_of(cfg, rng.normal(size=17)), X[0], cfg)
+        assert np.array_equal(a.Q[0], b.Q[0])
+        assert np.array_equal(a.R[0], b.R[0])
 
     def test_affine_constant_reconstructs_prediction(self, cfg, rng):
-        xi = random_state(rng)
-        u = rng.uniform(2, 20, 4)
-        lin = linearize_stage(xi, u, np.zeros(17), cfg)
-        np.testing.assert_allclose(lin.A @ xi + lin.B @ u + lin.d, lin.x_next, atol=1e-12)
+        X, U = random_guess(cfg, rng)
+        qp = build_qp(X, U, window_of(cfg, np.zeros(17)), X[0], cfg)
+        x_next = discrete_jacobians(X[0], U[0], cfg.dt, cfg.params)[0]
+        np.testing.assert_allclose(qp.A[0] @ X[0] + qp.B[0] @ U[0] + qp.d[0], x_next, atol=1e-12)
 
     def test_shifted_bounds(self, cfg):
-        lin = linearize_stage(dyn.hover_state(), np.zeros(4), np.zeros(17), cfg)
-        np.testing.assert_allclose(lin.g_lower, cfg.u_lower)
-        np.testing.assert_allclose(lin.g_upper, cfg.u_upper)
+        X, _ = hover_guess(cfg)
+        U = np.zeros((cfg.N, 4))
+        qp = build_qp(X, U, window_of(cfg, np.zeros(17)), X[0], cfg)
+        np.testing.assert_allclose(qp.lb[0], cfg.u_lower)
+        np.testing.assert_allclose(qp.ub[0], cfg.u_upper)
 
 
 class TestBuildQp:
@@ -153,13 +181,14 @@ class TestBuildQp:
         U = rng.uniform(2, 20, (cfg.N, 4))
         refs = hover_reference_window(cfg)
         qp = build_qp(X, U, refs, X[0], cfg)
+        Wx, Wu = cfg.W[:13], cfg.W[13:]
         for i in (0, 7, cfg.N - 1):
-            lin = linearize_stage(X[i], U[i], refs.stages[i], cfg)
-            np.testing.assert_allclose(qp.A[i], lin.A, atol=1e-12)
-            np.testing.assert_allclose(qp.B[i], lin.B, atol=1e-12)
-            np.testing.assert_allclose(qp.d[i], lin.d, atol=1e-10)
-            np.testing.assert_allclose(qp.q[i], lin.q, atol=1e-12)
-            np.testing.assert_allclose(qp.r[i], lin.r, atol=1e-12)
+            x_next, A, B = discrete_jacobians(X[i], U[i], cfg.dt, cfg.params)
+            np.testing.assert_allclose(qp.A[i], A, atol=1e-12)
+            np.testing.assert_allclose(qp.B[i], B, atol=1e-12)
+            np.testing.assert_allclose(qp.d[i], x_next - A @ X[i] - B @ U[i], atol=1e-10)
+            np.testing.assert_allclose(qp.q[i], Wx * (X[i] - refs.stages[i, :13]), atol=1e-12)
+            np.testing.assert_allclose(qp.r[i], Wu * (U[i] - refs.stages[i, 13:]), atol=1e-12)
 
     def test_dimension_mismatch_raises(self, cfg):
         X, U = hover_guess(cfg)

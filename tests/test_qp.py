@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    CondenseReference,
     RiccatiSweepReference,
     dense_primal_from_qp,
     solve_qp_active_set_enum,
@@ -355,6 +356,56 @@ class TestCondensingProperties:
         xs, us = dense_primal_from_qp(qp, z)
         np.testing.assert_allclose(sol.u, np.array(us), atol=1e-6)
         np.testing.assert_allclose(sol.x, np.array(xs), atol=1e-6)
+
+
+@st.composite
+def condensing_cases(draw):
+    """A banded QP with linearization points, zero-``Q`` stages and any block size."""
+    N = draw(st.integers(1, 12))
+    M = draw(st.integers(1, N))
+    nx = draw(st.integers(1, 4))
+    nu = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    qp = make_random_qp(rng, N=N, nx=nx, nu=nu)
+    qp.xbar = rng.normal(size=(N + 1, nx))
+    qp.ubar = rng.normal(size=(N, nu))
+    zero_Q = draw(st.lists(st.booleans(), min_size=N, max_size=N))
+    qp.Q[np.array(zero_Q)] = 0.0
+    return qp, M
+
+
+class TestCondensingRecursion:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(condensing_cases())
+    def test_matches_rollout_reference(self, case):
+        qp, M = case
+        got = partial_condense(qp, M).qp
+        ref = CondenseReference(qp, M)
+        for name in (
+            "A", "B", "d", "Q", "R", "S", "q", "r", "lb", "ub", "Q_N", "q_N", "x0_residual",
+            "xbar", "ubar",
+        ):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.shape == b.shape, name
+            assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max()), name
+
+    def test_condensed_hessian_exactly_symmetric(self, rng):
+        qp = make_random_qp(rng, N=12, nx=4, nu=2)
+        for M in (2, 5, 12):
+            cqp = partial_condense(qp, M).qp
+            assert np.array_equal(cqp.Q, cqp.Q.swapaxes(1, 2))
+            assert np.array_equal(cqp.R, cqp.R.swapaxes(1, 2))
+
+
+class TestIpmResiduals:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(banded_qps(), st.sampled_from([2, 50]))
+    def test_equal_to_recomputed_residuals(self, case, max_iters):
+        # the residuals of the loop's last iterate are those of the returned point, bit for bit
+        qp, M, _ = case
+        cqp = partial_condense(qp, M).qp
+        sol = solve_riccati_ipm(cqp, 1e-8, max_iters)
+        assert sol.residuals == kkt_residuals(cqp, sol)
 
 
 @st.composite

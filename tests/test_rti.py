@@ -145,6 +145,27 @@ class TestRtiController:
         np.testing.assert_array_equal(out.u0, expected)
         np.testing.assert_array_equal(out.X_pred, shifted)
 
+    @pytest.mark.parametrize("solver", ["riccati", "dense"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_estimate_degrades_the_cycle(self, cfg, solver, bad):
+        ctrl = RtiController(cfg, solver=solver)
+        refs = hover_reference_window(cfg, p=(0.2, 0.0, 0.1))
+        ctrl.cycle(dyn.hover_state(), refs)
+        expected = np.clip(ctrl.U[0], cfg.u_lower, cfg.u_upper)
+        shifted = ctrl.X.copy()
+        xhat = dyn.hover_state()
+        xhat[8] = bad
+        out = ctrl.cycle(xhat, refs)
+        assert out.degraded
+        assert out.qp_status == "numerical_error"
+        assert ctrl.qp_solve_count == 1
+        assert np.all(np.isfinite(out.u0))
+        assert np.all(out.u0 >= cfg.u_lower) and np.all(out.u0 <= cfg.u_upper)
+        np.testing.assert_array_equal(out.u0, expected)
+        np.testing.assert_array_equal(out.X_pred, shifted)
+        # the next cycle with a finite estimate solves again
+        assert not ctrl.cycle(dyn.hover_state(), refs).degraded
+
     def test_split_and_monolithic_identical(self, cfg):
         refs = hover_reference_window(cfg, p=(0.4, 0.0, -0.2))
         a = RtiController(cfg, split=True)

@@ -4,6 +4,9 @@
     python3 tools/bench_file.py --out BENCH_10.json --description "..." \
         parent=../parent/perfbench/results change=perfbench/results
 
+With ``--replay FILE`` (repeatable), the JSON results of
+``tools/ab_replay.py`` go into the file's ``replays`` list as they are.
+
 Each ``LABEL=DIR`` names a directory of result files written by
 ``perfbench/run.py`` (one ``<workload>-seed<seed>-trace<trace>.json`` per
 run) and the side they were measured on. Every result file becomes one
@@ -85,6 +88,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--description", required=True)
+    parser.add_argument("--replay", type=Path, action="append", default=[])
     parser.add_argument("sides", nargs="+", metavar="LABEL=DIR")
     args = parser.parse_args(argv)
 
@@ -100,6 +104,7 @@ def main(argv=None) -> int:
         "description": args.description,
         "summary": summarize(runs, labels, spec),
         "runs": runs,
+        "replays": [json.loads(path.read_text()) for path in args.replay],
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {args.out}: {len(runs)} runs from {', '.join(labels)}")
