@@ -4,7 +4,7 @@ Modules
 -------
 dynamics   rigid-body model, quaternion algebra, ERK4 integrator
 ocp        multiple-shooting cost/constraint data and stage linearization
-qp         banded optimal-control QP, partial condensing, interior-point solvers
+qp         banded optimal-control QP, partial condensing, the interior-point solver
 rti        real-time-iteration controller and run-to-convergence SQP
 delay      round-trip-time state predictor and delay bookkeeping
 lqr        discrete LQR baseline on the quaternion-reduced model

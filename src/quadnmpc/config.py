@@ -32,6 +32,9 @@ def _fmt_vec(values) -> str:
 _PARAMS = QuadrotorParams()
 _OCP = OcpConfig(params=_PARAMS)
 _SIM = {f.name: f.default for f in fields(SimConfig)}
+_DELAY = DelayConfig()
+_NOISE = NoiseConfig()
+_VEL_FILTER = VelocityFilterConfig()
 
 DEFAULTS: dict[str, dict[str, object]] = {
     "model": {f.name: getattr(_PARAMS, f.name) for f in fields(QuadrotorParams)},
@@ -51,28 +54,29 @@ DEFAULTS: dict[str, dict[str, object]] = {
     },
     "rti": {"split": _SIM["rti_split"]},
     "delay": {
-        "tau1": 0.0,
-        "tau2": 0.0,
-        "tauc": 0.0,
+        "tau1": _DELAY.tau1,
+        "tau2": _DELAY.tau2,
+        "tauc": _DELAY.tauc,
         "lambda": -1,  # cycles of round trip; -1 means use the tau values
-        "compensate": False,
-        "predictor_steps": 1,
+        "compensate": _DELAY.compensate,
+        "predictor_steps": _DELAY.predictor_steps,
     },
     "lqr": {"Q": _fmt_vec(DEFAULT_LQR_Q), "R": _fmt_vec(DEFAULT_LQR_R)},
     "sim": {
+        # the CLI flies 1.5 s longer than SimConfig's default, on purpose
         "duration": 7.5,
-        "micro_step": 1e-3,
-        "controller": "nmpc",
+        "micro_step": _SIM["micro_step"],
+        "controller": _SIM["controller"],
         "scenario": "step",
         "reference_csv": "",
-        "seed": 0,
-        "envelope": 20.0,
-        "noise": False,
-        "noise_pos": 1e-3,
-        "noise_att_deg": 0.2,
-        "noise_gyro": 0.01,
-        "vel_filter": False,
-        "vel_filter_cutoff": 10.0,
+        "seed": _SIM["seed"],
+        "envelope": _SIM["envelope_m"],
+        "noise": _NOISE.enabled,
+        "noise_pos": _NOISE.sigma_pos,
+        "noise_att_deg": _NOISE.sigma_att_deg,
+        "noise_gyro": _NOISE.sigma_gyro,
+        "vel_filter": _VEL_FILTER.enabled,
+        "vel_filter_cutoff": _VEL_FILTER.cutoff_hz,
     },
     "traj": {
         "kind": "smooth_step",

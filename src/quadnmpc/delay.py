@@ -117,16 +117,6 @@ class StateHistory(_Timeline):
         return self._held(t)
 
 
-def delayed_measurement(history: StateHistory, t: float, tau1: float) -> np.ndarray:
-    """State the controller sees at time ``t``: the plant state at ``t - tau1``."""
-    return history.at(t - tau1)
-
-
-def delayed_actuation(buffer: InputBuffer, t: float, tau2: float) -> np.ndarray | None:
-    """Input reaching the rotors at time ``t``: the command issued at ``t - tau2``."""
-    return buffer.at(t - tau2)
-
-
 def predict(
     xi_meas: np.ndarray,
     t_meas: float,

@@ -7,16 +7,17 @@ The problem class is
           x_{i+1} = A_i x_i + B_i u_i + c_i        i = 0..N-1
           lb_i <= u_i <= ub_i                      i = 0..N-1
 
-with H_i = [[Q_i, S_i'], [S_i, R_i]] and h_i = (q_i, r_i). Two solvers are
-provided: a Riccati-recursion primal-dual interior-point method whose cost
-is linear in the number of stages, and a baseline that condenses the full
-horizon into one dense bound-constrained QP and factorizes it with
-Cholesky (cubic in horizon times input size). Partial condensing bridges
-the two, eliminating intermediate states in blocks of ``M`` stages.
+with H_i = [[Q_i, S_i'], [S_i, R_i]] and h_i = (q_i, r_i). There is one
+solver, a Riccati-recursion primal-dual interior-point method whose cost
+is linear in the number of stages. Partial condensing eliminates the
+intermediate states in blocks of ``M`` stages before it runs; the
+"dense" pipeline is full condensing (``M = N``), where the fixed initial
+state is eliminated and the recursion reduces to one dense Cholesky
+factorization per iteration (cubic in horizon times input size).
 
 The stage data is held as stacked arrays with the stage index first, so
 residuals, complementarity and step lengths are whole-array operations;
-only the Riccati sweeps and the condensing rollout loop over stages.
+only the Riccati sweeps and the condensing recursions loop over stages.
 
 Each stage stores the affine prediction-model constant
 ``d_i = F_i - A_i xbar_i - B_i ubar_i`` together with the linearization
@@ -37,8 +38,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.lapack import dpotrf, dtrtri
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 
 class QpNumericalError(RuntimeError):
@@ -404,64 +404,84 @@ def _cholesky(G: np.ndarray) -> np.ndarray:
 
 
 class _RiccatiSweep:
-    """Backward factorization of one interior-point Newton system.
+    """Backward factorization of one interior-point Newton system, x0 eliminated.
 
     Stage ``i`` forms ``M = [B A]' P_{i+1} [B A] + W_i`` from the stacked
     dynamics ``BA[i] = [B_i A_i]`` and stage Hessian
-    ``W[i] = [[R_bar_i, S_i], [S_i', Q_i]]``, factorizes its input block
+    ``W[i] = [[R_bar_i, S_i], [S_i', Q_i]]``. The last stage's ``W``
+    already holds the terminal product ``[B A]' Q_N [B A]``
+    (:func:`prepare_riccati_ipm` adds it once per QP), so there ``M`` is
+    ``W`` itself. Every stage after the first factorizes its input block
     ``G_i = L_i L_i'`` and inverts the factor, so that with
-    ``V_i = L_i^-1 H_i`` the next cost-to-go is ``P_i = Q_bar_i - V_i' V_i``.
-    The gains ``K_i = -G_i^-1 H_i``, the inverse input blocks and the
-    closed-loop matrices ``A_i + B_i K_i`` are formed for all stages after
-    the loop. One sweep serves both the predictor and the corrector
-    right-hand sides.
+    ``V_i = L_i^-1 H_i`` the next cost-to-go is ``P_i = Q_bar_i - V_i' V_i``;
+    the gains ``K_i = -G_i^-1 H_i``, the inverse input blocks and the
+    closed-loop matrices ``A_i + B_i K_i`` are formed for all of them after
+    the loop. The initial state is fixed, so stage 0 keeps only the
+    Cholesky factor of ``G_0`` and the rest of its ``M``: no inverse, gain
+    or cost-to-go. On a fully condensed QP the sweep is therefore one dense
+    Cholesky factorization. One sweep serves both the predictor and the
+    corrector right-hand sides.
     """
 
     def __init__(self, A, B, BA, W, Q_N):
         N, nx, nu = B.shape
-        self.B = B
+        self.B, self.A0, self.BA0 = B, A[0], BA[0]
         self.P = P = np.empty((N + 1, nx, nx))
-        L_inv = np.empty((N, nu, nu))
-        V = np.empty((N, nu, nx))
+        L_inv = np.empty((N - 1, nu, nu))
+        V = np.empty((N - 1, nu, nx))
         P[N] = Q_N
-        for i in range(N - 1, -1, -1):
-            BAi = BA[i]
-            M = BAi.T @ (P[i + 1] @ BAi)
-            M += W[i]
-            L_inv[i] = Li = dtrtri(_cholesky(M[:nu, :nu]), lower=1)[0]
-            V[i] = Vi = Li @ M[:nu, nu:]
+        M = W[N - 1]
+        for i in range(N - 1, 0, -1):
+            L_inv[i - 1] = Li = dtrtri(_cholesky(M[:nu, :nu]), lower=1)[0]
+            V[i - 1] = Vi = Li @ M[:nu, nu:]
             Pi = M[nu:, nu:] - Vi.T @ Vi
             np.add(Pi, Pi.T, out=P[i])
             P[i] *= 0.5
+            M = BA[i - 1].T @ (P[i] @ BA[i - 1])
+            M += W[i - 1]
+        self.L0 = _cholesky(M[:nu, :nu])
+        self.H0, self.M0x = M[:nu, nu:], M[nu:]
         L_invT = L_inv.swapaxes(1, 2)
         self.G_inv = L_invT @ L_inv
         self.K = K = -(L_invT @ V)
-        self.A_cl = A + B @ K
+        self.A_cl = A[1:] + B[1:] @ K
 
     def solve(self, rx, ru, re):
         """Newton direction for right-hand sides (−rx, −ru, −re).
 
-        Backward, ``p_i = a_i + (A_i + B_i K_i)' p_{i+1}``; forward,
-        ``dx_{i+1} = (A_i + B_i K_i) dx_i + e_i``; the offsets ``a`` and
-        ``e``, the feedforward ``k`` and the steps ``du`` and ``dpi`` are
-        whole-array operations.
+        Backward, ``p_i = a_i + (A_i + B_i K_i)' p_{i+1}`` down to stage 1;
+        ``du_0`` from one solve with ``G_0`` at the fixed ``dx_0 = -re_0``;
+        forward, ``dx_{i+1} = (A_i + B_i K_i) dx_i + e_i``; ``dpi_0`` from
+        the stationarity of stage 0, whose ``M`` rows carry ``A_0' P_1``.
+        The offsets ``a`` and ``e``, the feedforward ``k`` and the other
+        steps are whole-array operations.
         """
         P, K, A_cl, B = self.P, self.K, self.A_cl, self.B
-        N = len(K)
+        N, _, nu = B.shape
         Pre = _mv(P[1:], re[1:])
-        a = rx[:N] + _mtv(K, ru) - _mtv(A_cl, Pre)
+        a = rx[1:N] + _mtv(K, ru[1:]) - _mtv(A_cl, Pre[1:])
         p = np.empty_like(rx)
         p[N] = v = rx[N]
-        for i in range(N - 1, -1, -1):
-            p[i] = v = a[i] + v @ A_cl[i]
-        k = -_mv(self.G_inv, ru + _mtv(B, p[1:] - Pre))
-        e = _mv(B, k) - re[1:]
+        for i in range(N - 1, 0, -1):
+            p[i] = v = a[i - 1] + v @ A_cl[i - 1]
+        m = p[1:] - Pre
+        g = ru + _mtv(B, m)
+        # w0 = (du_0, dx_0), with dx_0 = -re_0
+        w0 = np.concatenate((dpotrs(self.L0, self.H0 @ re[0] - g[0], lower=1)[0], -re[0]))
+        k = -_mv(self.G_inv, g[1:])
+        e = _mv(B[1:], k) - re[2:]
         dx = np.empty_like(rx)
-        dx[0] = v = -re[0]
-        for i in range(N):
-            dx[i + 1] = v = A_cl[i] @ v + e[i]
-        du = _mv(K, dx[:-1]) + k
-        return dx, du, _mv(P, dx) + p
+        dx[0] = w0[nu:]
+        dx[1] = v = self.BA0 @ w0 - re[1]
+        for i in range(N - 1):
+            dx[i + 2] = v = A_cl[i] @ v + e[i]
+        du = np.empty_like(ru)
+        du[0] = w0[:nu]
+        du[1:] = _mv(K, dx[1:-1]) + k
+        dpi = np.empty_like(rx)
+        dpi[1:] = _mv(P[1:], dx[1:]) + p[1:]
+        dpi[0] = rx[0] + self.M0x @ w0 + m[0] @ self.A0
+        return dx, du, dpi
 
 
 # +1 for the lower bound slack u - lb, -1 for the upper one ub - u
@@ -470,9 +490,10 @@ _SIDE = np.array([1.0, -1.0])[:, None, None]
 
 def _barrier_hessians(W: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Stage Hessians ``W`` with the barrier diagonal ``D (N, nu)`` added to the input block."""
-    nu = D.shape[1]
+    N, nu = D.shape
+    step = W.shape[1] + 1
     W_bar = W.copy()
-    W_bar[:, range(nu), range(nu)] += D
+    W_bar.reshape(N, -1)[:, : nu * step : step] += D
     return W_bar
 
 
@@ -494,11 +515,12 @@ def _bound_steps(du: np.ndarray, rc: np.ndarray, s: np.ndarray, lam: np.ndarray)
 
 @dataclass
 class IpmStart:
-    """Everything of a Riccati IPM solve that does not read ``x0_residual``.
+    """Everything of an interior-point solve that does not read ``x0_residual``.
 
     ``c`` holds the continuity constants, ``BA (N,nx,nu+nx)`` and
     ``W (N,nu+nx,nu+nx)`` the stacked stage data ``[B A]`` and
-    ``[[R, S], [S', Q]]``, ``f`` the drift ``B u + c`` of the starting
+    ``[[R, S], [S', Q]]``, the last stage's with the terminal product
+    ``[B A]' Q_N [B A]`` added, ``f`` the drift ``B u + c`` of the starting
     inputs ``u``, ``bounds`` and ``lam (2,N,nu)`` the lower and upper
     bounds and their starting duals. ``sweep`` is the factorization of the
     first Newton matrix, or ``None`` with the factorization's error kept
@@ -534,6 +556,9 @@ def prepare_riccati_ipm(qp: OcpQp) -> IpmStart:
     W[:, :nu, nu:] = qp.S
     W[:, nu:, :nu] = qp.S.swapaxes(1, 2)
     W[:, nu:, nu:] = qp.Q
+    # only the barrier diagonal changes between iterations, so the last
+    # stage's terminal product is formed once per QP
+    W[-1] += BA[-1].T @ (qp.Q_N @ BA[-1])
     # strictly interior start at the bound midpoints
     u = 0.5 * (qp.lb + qp.ub)
     bounds = np.stack((qp.lb, qp.ub))
@@ -571,20 +596,34 @@ def solve_riccati_ipm(
     non-finite. Hitting ``max_iters`` is reported through ``status``
     with the best iterate, not raised.
     """
-    linalg_us = 0.0
+    return _ipm(qp, tol, max_iters, start)
+
+
+def solve_condensed_dense(
+    cqp: OcpQp, tol: float = 1e-8, max_iters: int = 50, start: IpmStart | None = None
+) -> QpSolution:
+    """Solve a fully condensed QP (one stage plus the terminal state).
+
+    The interior point of :func:`solve_riccati_ipm`, on one stage: with
+    the initial state eliminated and the terminal product prepared, each
+    iteration factorizes the dense ``R_bar + B' Q_N B`` once by Cholesky.
+    The solution is that of ``cqp``; :func:`expand` maps it back to the
+    original stages. The separate name keeps an iteration count taken at
+    :func:`solve_riccati_ipm` to the banded pipeline.
+    """
+    if cqp.num_stages != 1:
+        raise ValueError("the dense solver expects a fully condensed QP")
+    return _ipm(cqp, tol, max_iters, start)
+
+
+# slack collapse on pathological data produces inf/nan that the
+# finite-residual check or the next factorization turns into QpNumericalError
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _ipm(qp: OcpQp, tol: float, max_iters: int, start: IpmStart | None) -> QpSolution:
+    linalg_ns = 0
     if start is None:
         start = prepare_riccati_ipm(qp)
-        linalg_us = start.linalg_us
-    # slack collapse on pathological data produces inf/nan that the
-    # finite-residual check inside turns into QpNumericalError
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sol = _riccati_ipm(qp, tol, max_iters, start)
-    sol.linalg_us += linalg_us
-    return sol
-
-
-def _riccati_ipm(qp: OcpQp, tol: float, max_iters: int, start: IpmStart) -> QpSolution:
-    linalg_ns = 0
+        linalg_ns = start.linalg_us * 1000.0
     N, nx, nu = qp.B.shape
     c, bounds = start.c, start.bounds
     n_bnd = 2 * N * nu
@@ -672,136 +711,13 @@ def _riccati_ipm(qp: OcpQp, tol: float, max_iters: int, start: IpmStart) -> QpSo
     )
 
 
-# ---------------------------------------------------------------------------
-# fully condensed dense baseline
-# ---------------------------------------------------------------------------
-
-
-def _box_qp_dense(H, g, lb, ub, tol, max_iters):
-    """Mehrotra interior point for ``min 0.5 z'Hz + g'z, lb <= z <= ub``.
-
-    Dense normal equations, one Cholesky-backed solve per predictor and
-    corrector step. Returns ``(z, lam_lo, lam_hi, iters, status, linalg_us)``.
-    """
-    linalg_ns = 0
-    n = H.shape[0]
-    z = 0.5 * (lb + ub)
-    lam_lo = 1.0 / np.maximum(z - lb, 1e-2)
-    lam_hi = 1.0 / np.maximum(ub - z, 1e-2)
-    status = "max_iterations"
-    iters = 0
-    for iters in range(max_iters + 1):
-        sl = z - lb
-        su = ub - z
-        r = H @ z + g - lam_lo + lam_hi
-        compl = max(np.abs(lam_lo * sl).max(), np.abs(lam_hi * su).max())
-        if not np.isfinite(np.abs(r).max() + compl):
-            raise QpNumericalError("non-finite values encountered in interior-point iterate")
-        if np.abs(r).max() <= tol and compl <= tol:
-            status = "converged"
-            break
-        if iters == max_iters:
-            break
-        mu = float(lam_lo @ sl + lam_hi @ su) / (2 * n)
-        D = lam_lo / sl + lam_hi / su
-        t0 = time.perf_counter_ns()
-        M = H.copy()
-        M.flat[:: n + 1] += D
-        try:
-            L = np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
-            try:
-                M.flat[:: n + 1] += _REGULARIZATION
-                L = np.linalg.cholesky(M)
-            except np.linalg.LinAlgError as exc:
-                raise QpNumericalError("dense Newton matrix not positive definite") from exc
-        linalg_ns += time.perf_counter_ns() - t0
-
-        rcl = lam_lo * sl
-        rcu = lam_hi * su
-        t0 = time.perf_counter_ns()
-        dz_a = -sla.cho_solve((L, True), r + rcl / sl - rcu / su, check_finite=False)
-        linalg_ns += time.perf_counter_ns() - t0
-        dll_a = -(rcl + lam_lo * dz_a) / sl
-        dlh_a = -(rcu - lam_hi * dz_a) / su
-        alpha_aff = min(
-            1.0,
-            _step_to_boundary(
-                np.stack((sl, su, lam_lo, lam_hi)), np.stack((dz_a, -dz_a, dll_a, dlh_a))
-            ),
-        )
-        mu_aff = (
-            float(
-                (lam_lo + alpha_aff * dll_a) @ (sl + alpha_aff * dz_a)
-                + (lam_hi + alpha_aff * dlh_a) @ (su - alpha_aff * dz_a)
-            )
-            / (2 * n)
-        )
-        sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
-
-        rcl = rcl + dz_a * dll_a - sigma * mu
-        rcu = rcu - dz_a * dlh_a - sigma * mu
-        t0 = time.perf_counter_ns()
-        dz = -sla.cho_solve((L, True), r + rcl / sl - rcu / su, check_finite=False)
-        linalg_ns += time.perf_counter_ns() - t0
-        dll = -(rcl + lam_lo * dz) / sl
-        dlh = -(rcu - lam_hi * dz) / su
-        alpha = min(
-            1.0,
-            _FRACTION_TO_BOUNDARY
-            * _step_to_boundary(
-                np.stack((sl, su, lam_lo, lam_hi)), np.stack((dz, -dz, dll, dlh))
-            ),
-        )
-        z = z + alpha * dz
-        lam_lo = lam_lo + alpha * dll
-        lam_hi = lam_hi + alpha * dlh
-    return z, lam_lo, lam_hi, iters, status, linalg_ns / 1000.0
-
-
-def solve_condensed_dense(cqp: OcpQp, tol: float = 1e-8, max_iters: int = 50) -> QpSolution:
-    """Solve a fully condensed QP (one stage plus the terminal state) densely.
-
-    The fixed initial state and the terminal state are substituted out,
-    and the remaining box QP in the stacked inputs is solved by a dense
-    interior point with Cholesky factorizations. The solution is that of
-    ``cqp``; :func:`expand` maps it back to the original stages.
-    """
-    if cqp.num_stages != 1:
-        raise ValueError("the dense solver expects a fully condensed QP")
-    A, B, S, Q = cqp.A[0], cqp.B[0], cqp.S[0], cqp.Q[0]
-    b0 = cqp.x0_residual
-    c0 = cqp.defects()[0]
-    H = cqp.R[0] + B.T @ (cqp.Q_N @ B)
-    H = 0.5 * (H + H.T)
-    g = cqp.r[0] + S @ b0 + B.T @ (cqp.Q_N @ (A @ b0 + c0) + cqp.q_N)
-    # slack collapse on pathological data is caught by the finite check
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        U, lam_lo, lam_hi, iters, status, linalg_us = _box_qp_dense(
-            H, g, cqp.lb[0], cqp.ub[0], tol, max_iters
-        )
-    xN = A @ b0 + B @ U + c0
-    piN = cqp.Q_N @ xN + cqp.q_N
-    pi0 = Q @ b0 + S.T @ U + cqp.q[0] + A.T @ piN
-    return QpSolution(
-        x=np.array([b0, xN]),
-        u=U[None],
-        pi=np.array([pi0, piN]),
-        lam_lo=lam_lo[None],
-        lam_hi=lam_hi[None],
-        iters=iters,
-        status=status,
-        linalg_us=linalg_us,
-    )
-
-
 def solve_dense_ipm(qp: OcpQp, tol: float = 1e-8, max_iters: int = 50) -> QpSolution:
-    """Condense the full horizon, solve the dense box QP, and expand back.
+    """Condense the full horizon, solve the one-stage QP, and expand back.
 
-    The baseline pipeline: all state deviations are eliminated, the
-    remaining problem in the stacked inputs is solved by a dense
-    interior point with Cholesky factorizations, and the stage-wise
-    solution is reconstructed.
+    The dense pipeline: all state deviations are eliminated, the
+    remaining problem in the stacked inputs is solved by
+    :func:`solve_condensed_dense`, and the stage-wise solution is
+    reconstructed.
     """
     cond = partial_condense(qp, qp.num_stages)
     return expand(solve_condensed_dense(cond.qp, tol, max_iters), cond)

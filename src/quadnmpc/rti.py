@@ -1,9 +1,9 @@
 """Real-time-iteration controller: one SQP iteration per sampling instant.
 
 Each control cycle splits into a preparation phase (linearize the whole
-horizon at the current guess, assemble and condense the QP, and for the
-Riccati IPM set its starting point and factorize its first Newton
-matrix - nothing that needs the new measurement) and a feedback phase
+horizon at the current guess, assemble and condense the QP, set the
+interior point's starting point and factorize its first Newton matrix -
+nothing that needs the new measurement) and a feedback phase
 (inject the initial-condition residual, solve one QP, apply the full
 Newton-type step, emit the first input, shift the guess). A
 run-to-convergence mode iterates SQP steps on a fixed problem under an
@@ -97,7 +97,9 @@ class RtiController:
     ----------
     cfg : OcpConfig
     solver : "riccati" (partial condensing, block ``block_size``) or
-        "dense" (full condensing, dense Cholesky baseline).
+        "dense" (full condensing, block size N). Both run the one
+        interior-point method; on the fully condensed QP its sweep is one
+        dense Cholesky factorization per iteration.
     block_size : partial-condensing block size for the riccati pipeline.
     split : when False, ``cycle`` runs preparation and feedback as one
         timed call (identical results, all time attributed to feedback).
@@ -147,8 +149,7 @@ class RtiController:
         t0 = _us()
         qp = build_qp(self.X, self.U, refs, self.X[0], self.cfg)
         self._prepared = partial_condense(qp, self.block_size)
-        if self.solver == "riccati":
-            self._start = prepare_riccati_ipm(self._prepared.qp)
+        self._start = prepare_riccati_ipm(self._prepared.qp)
         self.prep_us = _us() - t0
 
     def feedback(self, xhat: np.ndarray) -> ControlOutput:
@@ -175,8 +176,10 @@ class RtiController:
         try:
             if not np.isfinite(b0).all():
                 raise QpNumericalError("non-finite state estimate")
+            # one interior point under two names: the dense one takes the
+            # fully condensed QP
             if self.solver == "dense":
-                csol = solve_condensed_dense(cond.qp, self.qp_tol, self.qp_max_iters)
+                csol = solve_condensed_dense(cond.qp, self.qp_tol, self.qp_max_iters, start)
             else:
                 csol = solve_riccati_ipm(cond.qp, self.qp_tol, self.qp_max_iters, start)
             sol = expand(csol, cond)

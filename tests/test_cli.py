@@ -31,6 +31,14 @@ class TestConfig:
         assert rc.get("qp", "tol") == sim["qp_tol"]
         assert rc.get("qp", "max_iters") == sim["qp_max_iters"]
         assert rc.get("rti", "split") == sim["rti_split"]
+        # every field of the built SimConfig but the scenario, the horizon and
+        # the CLI's longer flight is the dataclass default, nested ones included
+        built = rc.make_sim()
+        default = SimConfig(scenario=built.scenario, ocp=built.ocp)
+        for f in dataclasses.fields(SimConfig):
+            if f.name not in ("scenario", "ocp", "duration"):
+                assert getattr(built, f.name) == getattr(default, f.name), f.name
+        assert built.duration == 7.5
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):

@@ -6,8 +6,6 @@ from quadnmpc.delay import (
     DelayConfig,
     InputBuffer,
     StateHistory,
-    delayed_actuation,
-    delayed_measurement,
     predict,
 )
 
@@ -78,7 +76,7 @@ class TestBuffers:
         hist = StateHistory()
         hist.push(0.0, dyn.hover_state((1, 2, 3)))
         hist.push(0.1, dyn.hover_state((4, 5, 6)))
-        np.testing.assert_allclose(delayed_measurement(hist, 0.05, 0.2)[:3], [1, 2, 3])
+        np.testing.assert_allclose(hist.at(0.05 - 0.2)[:3], [1, 2, 3])
 
 
 class TestDelayedLookups:
@@ -86,21 +84,21 @@ class TestDelayedLookups:
         hist = StateHistory()
         for k in range(5):
             hist.push(k * 0.01, dyn.hover_state((k, 0, 0)))
-        np.testing.assert_allclose(delayed_measurement(hist, 0.04, 0.0)[:3], [4, 0, 0])
+        np.testing.assert_allclose(hist.at(0.04 - 0.0)[:3], [4, 0, 0])
 
     def test_constant_history_any_delay(self):
         hist = StateHistory()
         for k in range(5):
             hist.push(k * 0.01, dyn.hover_state((7, 7, 7)))
         for tau in (0.0, 0.01, 0.035):
-            np.testing.assert_allclose(delayed_measurement(hist, 0.04, tau)[:3], 7.0)
+            np.testing.assert_allclose(hist.at(0.04 - tau)[:3], 7.0)
 
     def test_ramp_history_shifts_by_delay(self):
         hist = StateHistory()
         for k in range(101):
             t = k * 0.01
             hist.push(t, dyn.hover_state((t, 0, 0)))
-        out = delayed_measurement(hist, 0.5, 0.03)
+        out = hist.at(0.5 - 0.03)
         # sample-and-hold on the stored grid: exact up to one sample interval
         assert out[0] == pytest.approx(0.47, abs=0.0101)
 
@@ -108,8 +106,8 @@ class TestDelayedLookups:
         buf = InputBuffer()
         buf.push(0.0, np.full(4, 1.0))
         buf.push(0.015, np.full(4, 2.0))
-        np.testing.assert_allclose(delayed_actuation(buf, 0.02, 0.0), 2.0)
-        np.testing.assert_allclose(delayed_actuation(buf, 0.02, 0.01), 1.0)
+        np.testing.assert_allclose(buf.at(0.02 - 0.0), 2.0)
+        np.testing.assert_allclose(buf.at(0.02 - 0.01), 1.0)
 
 
 class TestPredictor:

@@ -125,7 +125,16 @@ class TestRtiController:
     def test_indefinite_first_newton_matrix_degrades_feedback_not_prepare(
         self, cfg, monkeypatch
     ):
-        ctrl = RtiController(cfg)
+        self.check_indefinite_first_newton_matrix(cfg, monkeypatch, "riccati")
+
+    def test_dense_indefinite_first_newton_matrix_degrades_feedback_not_prepare(
+        self, cfg, monkeypatch
+    ):
+        self.check_indefinite_first_newton_matrix(cfg, monkeypatch, "dense")
+
+    @staticmethod
+    def check_indefinite_first_newton_matrix(cfg, monkeypatch, solver):
+        ctrl = RtiController(cfg, solver=solver)
         refs = hover_reference_window(cfg)
         ctrl.cycle(dyn.hover_state(), refs)
         expected = np.clip(ctrl.U[0], cfg.u_lower, cfg.u_upper)
