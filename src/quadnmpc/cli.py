@@ -25,8 +25,6 @@ from .config import ConfigError, RunConfig
 from .rti import SqpConvergenceError
 from .sim import (
     compute_metrics,
-    gen_helix,
-    gen_smooth_step,
     run_closed_loop,
     write_diagnostics_csv,
     write_reference_csv,
@@ -164,7 +162,7 @@ def cmd_simulate(args) -> int:
     (out / "plot_trace.py").write_text(TRACE_PLOT.format(csv_name="trace.csv"))
     (out / "config_used.ini").write_text(rc.dump())
 
-    cycle_us = trace.prep_us + trace.fb_us
+    cycle_us = trace.column("prep_us") + trace.column("fb_us")
     summary = {
         "scenario": rc.get("sim", "scenario"),
         "controller": rc.get("sim", "controller"),
@@ -180,8 +178,8 @@ def cmd_simulate(args) -> int:
         "p95_cycle_us": float(np.percentile(cycle_us, 95)) if len(trace) else 0.0,
         "max_cycle_us": float(np.max(cycle_us)) if len(trace) else 0.0,
         "deadline_misses": int(np.count_nonzero(cycle_us > cfg.ocp.dt * 1e6)),
-        "degraded_cycles": int(trace.degraded.sum()),
-        "unconverged_cycles": int(np.count_nonzero(trace.qp_status == "max_iterations")),
+        "degraded_cycles": int(trace.column("degraded").sum()),
+        "unconverged_cycles": int(np.count_nonzero(trace.column("qp_status") == "max_iterations")),
     }
     (out / "metrics.json").write_text(json.dumps(_jsonable(summary), indent=2))
     lines = [f"{k}: {v}" for k, v in _jsonable(summary).items()]
@@ -221,44 +219,23 @@ def cmd_benchmark(args) -> int:
 def cmd_trajgen(args) -> int:
     rc = RunConfig.load(args.config, args.set or [])
     out = _out_dir(args)
-    params = rc.make_params()
     kind = args.kind or rc.get("traj", "kind")
-    if kind == "helix":
-        source = gen_helix(
-            params,
-            radius=rc.get("traj", "r"),
-            h0=rc.get("traj", "h0"),
-            dh=rc.get("traj", "dh"),
-            t_f=rc.get("traj", "tf"),
-            m=rc.get("traj", "m"),
-            omega=rc.get("traj", "omega"),
-        )
-        path = out / "helix.csv"
-        write_reference_csv(path, source)
+    try:
+        source, res = rc.make_trajectory(kind)
+    except SqpConvergenceError as exc:
+        print(f"trajectory optimization failed: {exc}", file=sys.stderr)
+        print(f"residual history: {['%.3e' % v for v in exc.history]}", file=sys.stderr)
+        return 1
+    path = out / f"{kind}.csv"
+    write_reference_csv(path, source)
+    if res is None:
         print(f"wrote {path} ({len(source.rows)} rows)")
-        return 0
-    if kind == "smooth_step":
-        try:
-            source, res = gen_smooth_step(
-                params,
-                target=rc.vector("traj", "target", 3),
-                start=rc.vector("traj", "start", 3),
-                T=rc.get("traj", "T"),
-                N=rc.get("traj", "N"),
-            )
-        except SqpConvergenceError as exc:
-            print(f"trajectory optimization failed: {exc}", file=sys.stderr)
-            print(f"residual history: {['%.3e' % v for v in exc.history]}", file=sys.stderr)
-            return 1
-        path = out / "smooth_step.csv"
-        write_reference_csv(path, source)
+    else:
         print(
             f"wrote {path} ({len(source.rows)} rows, "
             f"{res.iterations} SQP iterations, final KKT {res.kkt_history[-1]:.2e})"
         )
-        return 0
-    print(f"unknown trajectory kind {kind!r}", file=sys.stderr)
-    return 2
+    return 0
 
 
 def cmd_study(args) -> int:

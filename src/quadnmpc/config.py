@@ -9,7 +9,7 @@ strings (the CLI's ``--set``) go through the same validation.
 from __future__ import annotations
 
 import configparser
-import math
+import inspect
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -18,7 +18,7 @@ from .delay import DelayConfig
 from .dynamics import QuadrotorParams
 from .ocp import OcpConfig
 from .lqr import DEFAULT_LQR_Q, DEFAULT_LQR_R
-from .sim import NoiseConfig, SimConfig, VelocityFilterConfig
+from .sim import NoiseConfig, SimConfig, VelocityFilterConfig, gen_helix, gen_smooth_step
 
 
 class ConfigError(Exception):
@@ -35,6 +35,26 @@ _SIM = {f.name: f.default for f in fields(SimConfig)}
 _DELAY = DelayConfig()
 _NOISE = NoiseConfig()
 _VEL_FILTER = VelocityFilterConfig()
+# each trajectory kind's generator, and its [traj] keys -> keyword arguments
+_TRAJ = {
+    "smooth_step": (gen_smooth_step, {"start": "start", "target": "target", "T": "T", "N": "N"}),
+    "helix": (
+        gen_helix,
+        {"r": "radius", "h0": "h0", "dh": "dh", "tf": "t_f", "m": "m", "omega": "omega"},
+    ),
+}
+
+
+def _traj_defaults() -> dict[str, object]:
+    """The ``[traj]`` defaults: the generators' own keyword defaults."""
+    out = {"kind": "smooth_step"}
+    for gen, keys in _TRAJ.values():
+        signature = inspect.signature(gen).parameters
+        for key, arg in keys.items():
+            value = signature[arg].default
+            out[key] = _fmt_vec(value) if isinstance(value, tuple) else value
+    return out
+
 
 DEFAULTS: dict[str, dict[str, object]] = {
     "model": {f.name: getattr(_PARAMS, f.name) for f in fields(QuadrotorParams)},
@@ -52,7 +72,6 @@ DEFAULTS: dict[str, dict[str, object]] = {
         "tol": _SIM["qp_tol"],
         "max_iters": _SIM["qp_max_iters"],
     },
-    "rti": {"split": _SIM["rti_split"]},
     "delay": {
         "tau1": _DELAY.tau1,
         "tau2": _DELAY.tau2,
@@ -78,19 +97,7 @@ DEFAULTS: dict[str, dict[str, object]] = {
         "vel_filter": _VEL_FILTER.enabled,
         "vel_filter_cutoff": _VEL_FILTER.cutoff_hz,
     },
-    "traj": {
-        "kind": "smooth_step",
-        "start": "0,0,0.4",
-        "target": "1,-1,1",
-        "T": 6.0,
-        "N": 400,
-        "r": 0.3,
-        "h0": 0.38,
-        "dh": 0.002,
-        "tf": 15.0,
-        "m": 1000,
-        "omega": 2.0 * math.pi * (2.0 / 15.0),
-    },
+    "traj": _traj_defaults(),
 }
 
 
@@ -181,7 +188,7 @@ class RunConfig:
             raise ConfigError(f"sim.scenario must be one of {known}")
         if self.get("sim", "scenario") == "file" and not self.get("sim", "reference_csv"):
             raise ConfigError("sim.reference_csv is required for the file scenario")
-        if self.get("traj", "kind") not in ("smooth_step", "helix"):
+        if self.get("traj", "kind") not in _TRAJ:
             raise ConfigError("traj.kind must be smooth_step or helix")
 
     # ---- builders -------------------------------------------------------
@@ -247,28 +254,25 @@ class RunConfig:
             return simmod.step_scenario(params)
         if name == "zstep":
             return simmod.zstep_scenario(params)
-        if name == "helix":
-            return simmod.gen_helix(
-                params,
-                radius=self.get("traj", "r"),
-                h0=self.get("traj", "h0"),
-                dh=self.get("traj", "dh"),
-                t_f=self.get("traj", "tf"),
-                m=self.get("traj", "m"),
-                omega=self.get("traj", "omega"),
-            )
-        if name == "smooth_step":
-            source, _ = simmod.gen_smooth_step(
-                params,
-                target=self.vector("traj", "target", 3),
-                start=self.vector("traj", "start", 3),
-                T=self.get("traj", "T"),
-                N=self.get("traj", "N"),
-            )
-            return source
+        if name in _TRAJ:
+            return self.make_trajectory(name)[0]
         if name == "file":
             return simmod.read_reference_csv(self.get("sim", "reference_csv"))
         raise ConfigError(f"unknown scenario {name!r}")
+
+    def make_trajectory(self, kind: str):
+        """Generate the ``kind`` trajectory from the ``[traj]`` keys.
+
+        Returns ``(source, sqp_result)``; the helix is not optimized, and
+        its result is ``None``.
+        """
+        gen, keys = _TRAJ[kind]
+        kwargs = {
+            arg: self.vector("traj", key, 3) if key in ("start", "target") else self.get("traj", key)
+            for key, arg in keys.items()
+        }
+        out = gen(self.make_params(), **kwargs)
+        return (out, None) if kind == "helix" else out
 
     def make_sim(self) -> SimConfig:
         try:
@@ -282,7 +286,6 @@ class RunConfig:
                 block_size=self.get("qp", "block_size"),
                 qp_tol=self.get("qp", "tol"),
                 qp_max_iters=self.get("qp", "max_iters"),
-                rti_split=self.get("rti", "split"),
                 delay=self.make_delay(),
                 noise=NoiseConfig(
                     enabled=self.get("sim", "noise"),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics as dyn
-from .ocp import discrete_jacobians
+from .ocp import discrete_jacobians_batch
 
 REDUCED_IDX = np.array([0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12])
 
@@ -47,9 +47,9 @@ def linearize_and_reduce(
     if the reduced pair loses controllability, both of which would
     signal a broken linearization.
     """
-    xbar = dyn.hover_state()
-    ubar = params.hover_input()
-    _, A13, B13 = discrete_jacobians(xbar, ubar, tau_s, params)
+    _, (A13,), (B13,) = discrete_jacobians_batch(
+        dyn.hover_state()[None], params.hover_input()[None], tau_s, params
+    )
     qw_row = A13[3].copy()
     qw_row[3] -= 1.0
     if np.abs(qw_row).max() > 1e-10 or np.abs(A13[:, 3][REDUCED_IDX]).max() > 1e-10:

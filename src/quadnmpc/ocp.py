@@ -97,20 +97,12 @@ def hover_reference_window(cfg: OcpConfig, p=(0.0, 0.0, 0.0)) -> ReferenceWindow
 # ---------------------------------------------------------------------------
 
 
-def discrete_dynamics(
-    xi: np.ndarray, u: np.ndarray, dt: float, params: dyn.QuadrotorParams
-) -> np.ndarray:
-    """One ERK4 step of the continuous dynamics over ``dt``.
+def discrete_dynamics_batch(XI, U, dt, params):
+    """One ERK4 step over ``dt`` of each row of ``XI (B, 13)`` under ``U (B, 4)``.
 
     No quaternion renormalization: the prediction model must stay a
     smooth function of the state for consistent sensitivities.
     """
-    if dt <= 0:
-        raise ValueError("stage duration must be positive")
-    return dyn.erk4_step(lambda x: dyn.ode_rhs(x, u, params), xi, dt)
-
-
-def discrete_dynamics_batch(XI, U, dt, params):
     K1 = dyn.ode_rhs_batch(XI, U, params)
     K2 = dyn.ode_rhs_batch(XI + 0.5 * dt * K1, U, params)
     K3 = dyn.ode_rhs_batch(XI + 0.5 * dt * K2, U, params)
@@ -149,12 +141,6 @@ def discrete_jacobians_batch(XI, U, dt, params):
     return XI + (h / 6.0) * K_sum, A, B
 
 
-def discrete_jacobians(xi, u, dt, params):
-    """Single-point variant of :func:`discrete_jacobians_batch`."""
-    Xn, A, B = discrete_jacobians_batch(xi[None, :], u[None, :], dt, params)
-    return Xn[0], A[0], B[0]
-
-
 # ---------------------------------------------------------------------------
 # QP assembly
 # ---------------------------------------------------------------------------
@@ -188,7 +174,7 @@ def build_qp(
     return OcpQp(
         A=A,
         B=B,
-        d=X_next - np.matmul(A, X[:-1, :, None])[:, :, 0] - np.matmul(B, U[:, :, None])[:, :, 0],
+        c=X_next - X[1:],
         Q=np.tile(np.diag(Wx), (N, 1, 1)),
         R=np.tile(np.diag(Wu), (N, 1, 1)),
         q=Wx * (X[:-1] - refs.stages[:, : dyn.NX]),
@@ -198,6 +184,4 @@ def build_qp(
         Q_N=np.diag(cfg.W_N),
         q_N=cfg.W_N * (X[N] - refs.terminal),
         x0_residual=xhat - X[0],
-        xbar=X.copy(),
-        ubar=U.copy(),
     )

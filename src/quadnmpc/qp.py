@@ -19,12 +19,10 @@ The stage data is held as stacked arrays with the stage index first, so
 residuals, complementarity and step lengths are whole-array operations;
 only the Riccati sweeps and the condensing recursions loop over stages.
 
-Each stage stores the affine prediction-model constant
-``d_i = F_i - A_i xbar_i - B_i ubar_i`` together with the linearization
-points, so the model reconstructs ``F_i`` exactly at ``(xbar_i, ubar_i)``.
-The continuity constant in deviation variables (the shooting defect)
-is derived from it:  ``c_i = d_i + A_i xbar_i + B_i ubar_i - xbar_{i+1}``,
-which vanishes on a dynamically feasible linearization trajectory.
+In an SQP the variables are deviations from the linearization
+trajectory ``(X, U)``, and the continuity constant is its shooting defect
+``c_i = F(X_i, U_i) - X_{i+1}``, which vanishes on a dynamically feasible
+trajectory; HPIPM stores the dynamics offset the same way.
 
 Solver calls keep all workspace local and never mutate the QP data, so
 concurrent solves of distinct problem objects are safe; a single solve
@@ -66,16 +64,14 @@ class OcpQp:
 
     Stage ``i`` is row ``i`` of the stacked arrays ``A (N,nx,nx)``,
     ``B (N,nx,nu)``, ``S (N,nu,nx)``, ``Q (N,nx,nx)``, ``R (N,nu,nu)``,
-    ``d, q (N,nx)`` and ``r, lb, ub (N,nu)``. ``xbar (N+1,nx)`` and
-    ``ubar (N,nu)`` are the linearization points the stage data was
-    built at; for hand-built QPs they default to zero, in which case
-    ``d`` is itself the continuity constant. ``S`` defaults to zero.
-    Shapes and bound ordering are validated once, on construction.
+    ``c, q (N,nx)`` and ``r, lb, ub (N,nu)``, with ``c`` the continuity
+    constants. ``S`` defaults to zero. Shapes and bound ordering are
+    validated once, on construction.
     """
 
     A: np.ndarray
     B: np.ndarray
-    d: np.ndarray
+    c: np.ndarray
     Q: np.ndarray
     R: np.ndarray
     q: np.ndarray
@@ -86,8 +82,6 @@ class OcpQp:
     q_N: np.ndarray
     x0_residual: np.ndarray
     S: np.ndarray = None
-    xbar: np.ndarray = None
-    ubar: np.ndarray = None
 
     def __post_init__(self):
         if self.B.ndim != 3 or self.B.shape[0] < 1:
@@ -95,15 +89,10 @@ class OcpQp:
         N, nx, nu = self.B.shape
         if self.S is None:
             self.S = np.zeros((N, nu, nx))
-        if self.xbar is None:
-            self.xbar = np.zeros((N + 1, nx))
-        if self.ubar is None:
-            self.ubar = np.zeros((N, nu))
         expected = {
             "A": (N, nx, nx), "S": (N, nu, nx), "Q": (N, nx, nx), "R": (N, nu, nu),
-            "d": (N, nx), "q": (N, nx), "r": (N, nu), "lb": (N, nu), "ub": (N, nu),
+            "c": (N, nx), "q": (N, nx), "r": (N, nu), "lb": (N, nu), "ub": (N, nu),
             "Q_N": (nx, nx), "q_N": (nx,), "x0_residual": (nx,),
-            "xbar": (N + 1, nx), "ubar": (N, nu),
         }
         for name, shape in expected.items():
             if getattr(self, name).shape != shape:
@@ -124,10 +113,6 @@ class OcpQp:
     @property
     def num_stages(self) -> int:
         return self.B.shape[0]
-
-    def defects(self) -> np.ndarray:
-        """Continuity constants of all stages in deviation variables, (N, nx)."""
-        return self.d + _mv(self.A, self.xbar[:-1]) + _mv(self.B, self.ubar) - self.xbar[1:]
 
 
 @dataclass
@@ -174,11 +159,10 @@ class QpSolution:
     linalg_us: float = 0.0
 
 
-def _residuals(qp: OcpQp, c: np.ndarray, x, u, pi, lam_lo, lam_hi):
+def _residuals(qp: OcpQp, x, u, pi, lam_lo, lam_hi):
     """Stationarity ``(rx, ru)`` and equality ``re`` residuals of a primal-dual point.
 
-    ``c`` holds the continuity constants ``qp.defects()``; ``re[0]`` is
-    the initial-condition residual.
+    ``re[0]`` is the initial-condition residual.
     """
     N = qp.num_stages
     rx = np.empty_like(x)
@@ -187,13 +171,13 @@ def _residuals(qp: OcpQp, c: np.ndarray, x, u, pi, lam_lo, lam_hi):
     ru = _mv(qp.R, u) + _mv(qp.S, x[:-1]) + qp.r + _mtv(qp.B, pi[1:]) - lam_lo + lam_hi
     re = np.empty_like(x)
     re[0] = x[0] - qp.x0_residual
-    re[1:] = x[1:] - _mv(qp.A, x[:-1]) - _mv(qp.B, u) - c
+    re[1:] = x[1:] - _mv(qp.A, x[:-1]) - _mv(qp.B, u) - qp.c
     return rx, ru, re
 
 
 def kkt_residuals(qp: OcpQp, sol: QpSolution) -> KktResiduals:
     """Infinity norms of the four KKT residual groups at ``sol``."""
-    rx, ru, re = _residuals(qp, qp.defects(), sol.x, sol.u, sol.pi, sol.lam_lo, sol.lam_hi)
+    rx, ru, re = _residuals(qp, sol.x, sol.u, sol.pi, sol.lam_lo, sol.lam_hi)
     v = np.empty((2, 2) + sol.u.shape)
     np.subtract(sol.u, qp.lb, out=v[0, 0])
     np.subtract(qp.ub, sol.u, out=v[0, 1])
@@ -220,19 +204,16 @@ def _kkt_norms(rx, ru, re, v, rc) -> KktResiduals:
 def _blocked(qp: OcpQp, M: int):
     """Stage data regrouped into blocks of ``M`` stages, each array (nb, M, ...).
 
-    Returns ``A, B, c, Q, q, R, r, lb, ub, ubar`` with ``c`` the
-    continuity constants. When ``M`` does not divide ``N`` the last block
-    is padded with inert stages: identity dynamics, no state cost, and an
-    input with unit cost, zero gradient, bounds +-1 and no effect on the
-    state, whose optimal value is therefore zero.
+    Returns ``A, B, c, Q, q, R, r, lb, ub``. When ``M`` does not divide
+    ``N`` the last block is padded with inert stages: identity dynamics,
+    no state cost, and an input with unit cost, zero gradient, bounds +-1
+    and no effect on the state, whose optimal value is therefore zero.
     """
     N, nx, nu = qp.B.shape
-    arrays = [qp.A, qp.B, qp.defects(), qp.Q, qp.q, qp.R, qp.r, qp.lb, qp.ub, qp.ubar]
+    arrays = [qp.A, qp.B, qp.c, qp.Q, qp.q, qp.R, qp.r, qp.lb, qp.ub]
     pad = -N % M
     if pad:
-        fills = [
-            np.eye(nx), 0.0, 0.0, 0.0, 0.0, np.eye(nu), 0.0, -1.0, 1.0, 0.0,
-        ]
+        fills = [np.eye(nx), 0.0, 0.0, 0.0, 0.0, np.eye(nu), 0.0, -1.0, 1.0]
         arrays = [
             np.concatenate([a, np.broadcast_to(fill, (pad,) + a.shape[1:])])
             for a, fill in zip(arrays, fills)
@@ -280,7 +261,7 @@ def partial_condense(qp: OcpQp, M: int) -> CondensedQp:
         raise ValueError("partial condensing expects a separable stage cost")
 
     nx, nu = qp.nx, qp.nu
-    A, B, c, Q, q, R, r, lb, ub, ubar = _blocked(qp, M)
+    A, B, c, Q, q, R, r, lb, ub = _blocked(qp, M)
     nb = A.shape[0]
     nw = nx + M * nu
     # backward, from P_{M-1} = Q_{M-1}: P_{j+1} B_j for every stage but the
@@ -323,14 +304,10 @@ def partial_condense(qp: OcpQp, M: int) -> CondensedQp:
     W[:, diagonal] += R.reshape(nb, -1)
     W[:, lower] = W[:, upper]
     W = W.reshape(nb, nw, nw)
-    T, G = TG[:, :, :nx], TG[:, :, nx:]
-    xb = qp.xbar[:N:M]
-    Ub = ubar.reshape(nb, -1)
-    x_next = qp.xbar[np.minimum(np.arange(1, nb + 1) * M, N)]
     cqp = OcpQp(
-        A=T,
-        B=G,
-        d=f - (_mv(T, xb) + _mv(G, Ub) - x_next),
+        A=TG[:, :, :nx],
+        B=TG[:, :, nx:],
+        c=f,
         Q=W[:, :nx, :nx],
         R=W[:, nx:, nx:],
         q=g[:, :nx],
@@ -341,8 +318,6 @@ def partial_condense(qp: OcpQp, M: int) -> CondensedQp:
         Q_N=qp.Q_N.copy(),
         q_N=qp.q_N.copy(),
         x0_residual=qp.x0_residual.copy(),
-        xbar=np.concatenate([xb, qp.xbar[N:]]),
-        ubar=Ub,
     )
     return CondensedQp(qp=cqp, original=qp, block_size=M)
 
@@ -517,7 +492,7 @@ def _bound_steps(du: np.ndarray, rc: np.ndarray, s: np.ndarray, lam: np.ndarray)
 class IpmStart:
     """Everything of an interior-point solve that does not read ``x0_residual``.
 
-    ``c`` holds the continuity constants, ``BA (N,nx,nu+nx)`` and
+    ``BA (N,nx,nu+nx)`` and
     ``W (N,nu+nx,nu+nx)`` the stacked stage data ``[B A]`` and
     ``[[R, S], [S', Q]]``, the last stage's with the terminal product
     ``[B A]' Q_N [B A]`` added, ``f`` the drift ``B u + c`` of the starting
@@ -529,7 +504,6 @@ class IpmStart:
     modified by a solve.
     """
 
-    c: np.ndarray
     BA: np.ndarray
     W: np.ndarray
     f: np.ndarray
@@ -549,7 +523,6 @@ def prepare_riccati_ipm(qp: OcpQp) -> IpmStart:
     raise here: it is kept and raised by the solve that needs it.
     """
     N, nx, nu = qp.B.shape
-    c = qp.defects()
     BA = np.concatenate([qp.B, qp.A], axis=2)
     W = np.empty((N, nu + nx, nu + nx))
     W[:, :nu, :nu] = qp.R
@@ -572,7 +545,7 @@ def prepare_riccati_ipm(qp: OcpQp) -> IpmStart:
     except QpNumericalError as exc:
         error = exc
     linalg_us = (time.perf_counter_ns() - t0) / 1000.0
-    return IpmStart(c, BA, W, _mv(qp.B, u) + c, u, bounds, lam, sweep, error, linalg_us)
+    return IpmStart(BA, W, _mv(qp.B, u) + qp.c, u, bounds, lam, sweep, error, linalg_us)
 
 
 def solve_riccati_ipm(
@@ -625,7 +598,7 @@ def _ipm(qp: OcpQp, tol: float, max_iters: int, start: IpmStart | None) -> QpSol
         start = prepare_riccati_ipm(qp)
         linalg_ns = start.linalg_us * 1000.0
     N, nx, nu = qp.B.shape
-    c, bounds = start.c, start.bounds
+    bounds = start.bounds
     n_bnd = 2 * N * nu
 
     # the starting inputs rolled out feasibly from the initial state
@@ -644,7 +617,7 @@ def _ipm(qp: OcpQp, tol: float, max_iters: int, start: IpmStart | None) -> QpSol
     iters = 0
     for iters in range(max_iters + 1):
         np.multiply(_SIDE, u - bounds, out=s)
-        rx, ru, re = _residuals(qp, c, x, u, pi, lam[0], lam[1])
+        rx, ru, re = _residuals(qp, x, u, pi, lam[0], lam[1])
         rc = lam * s
 
         stat_norm = max(np.abs(rx).max(), np.abs(ru).max())

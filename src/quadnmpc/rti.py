@@ -43,26 +43,27 @@ class SqpConvergenceError(RuntimeError):
 
 @dataclass
 class ControlOutput:
-    """One feedback result: applied input, one-step-ahead prediction, diagnostics.
+    """One control cycle's record: applied input, predicted horizon, diagnostics.
 
-    ``qp_status`` is the QP solver's status (``converged`` or
-    ``max_iterations``), or ``numerical_error`` when the solve raised or
-    the state estimate was not finite, and the cycle is degraded: the
-    guess is shifted without a step and ``u0`` is its clipped first input.
+    The defaults are those of a cycle that solves no QP (the LQR
+    controller). ``qp_status`` is the QP solver's status (``converged``
+    or ``max_iterations``), ``none`` without a QP, or ``numerical_error``
+    when the solve raised or the state estimate was not finite, and the
+    cycle is degraded: the guess is shifted without a step and ``u0`` is
+    its clipped first input.
     """
 
     u0: np.ndarray
-    x_pred: np.ndarray
-    X_pred: np.ndarray
-    U_pred: np.ndarray
-    prep_us: float
-    fb_us: float
-    qp_iters: int
-    qp_status: str
-    qp_linalg_us: float
-    kkt_stationarity: float
-    step_norm: float
-    degraded: bool
+    X_pred: np.ndarray | None = None
+    U_pred: np.ndarray | None = None
+    prep_us: float = 0.0
+    fb_us: float = 0.0
+    qp_iters: int = 0
+    qp_status: str = "none"
+    qp_linalg_us: float = 0.0
+    kkt_stationarity: float = 0.0
+    step_norm: float = 0.0
+    degraded: bool = False
 
 
 def _us() -> float:
@@ -101,8 +102,6 @@ class RtiController:
         interior-point method; on the fully condensed QP its sweep is one
         dense Cholesky factorization per iteration.
     block_size : partial-condensing block size for the riccati pipeline.
-    split : when False, ``cycle`` runs preparation and feedback as one
-        timed call (identical results, all time attributed to feedback).
     """
 
     def __init__(
@@ -112,7 +111,6 @@ class RtiController:
         block_size: int = 5,
         qp_tol: float = 1e-8,
         qp_max_iters: int = 50,
-        split: bool = True,
     ):
         if solver not in ("riccati", "dense"):
             raise ValueError(f"unknown solver {solver!r}")
@@ -123,11 +121,9 @@ class RtiController:
         self.block_size = block_size if solver == "riccati" else cfg.N
         self.qp_tol = qp_tol
         self.qp_max_iters = qp_max_iters
-        self.split = split
         self.X = np.zeros((cfg.N + 1, dyn.NX))
         self.U = np.zeros((cfg.N, dyn.NU))
         self.prep_us = 0.0
-        self.fb_us = 0.0
         self.qp_solve_count = 0
         self._prepared: CondensedQp | None = None
         self._start: IpmStart | None = None
@@ -167,12 +163,6 @@ class RtiController:
         cond.qp.x0_residual = b0
         cond.original.x0_residual = b0
 
-        degraded = False
-        qp_iters = 0
-        qp_status = "numerical_error"
-        qp_linalg_us = 0.0
-        kkt_stat = np.nan
-        step_norm = np.nan
         try:
             if not np.isfinite(b0).all():
                 raise QpNumericalError("non-finite state estimate")
@@ -184,55 +174,39 @@ class RtiController:
                 csol = solve_riccati_ipm(cond.qp, self.qp_tol, self.qp_max_iters, start)
             sol = expand(csol, cond)
             self.qp_solve_count += 1
-            qp_iters = sol.iters
-            qp_status = sol.status
-            qp_linalg_us = sol.linalg_us
-            kkt_stat = sol.residuals.stationarity
-            step_norm = max(np.abs(sol.x).max(), np.abs(sol.u).max())
+            stats = dict(
+                qp_iters=sol.iters,
+                qp_status=sol.status,
+                qp_linalg_us=sol.linalg_us,
+                kkt_stationarity=sol.residuals.stationarity,
+                step_norm=max(np.abs(sol.x).max(), np.abs(sol.u).max()),
+            )
             self.X = self.X + sol.x
             self.U = self.U + sol.u
             _normalize_guess_attitudes(self.X)
         except QpNumericalError:
-            degraded = True
+            stats = dict(
+                qp_status="numerical_error", kkt_stationarity=np.nan, step_norm=np.nan,
+                degraded=True,
+            )
 
-        u0 = np.clip(self.U[0], self.cfg.u_lower, self.cfg.u_upper)
-        x1 = self.X[1].copy()
-        X_pred = self.X.copy()
-        U_pred = self.U.copy()
-
+        out = ControlOutput(
+            u0=np.clip(self.U[0], self.cfg.u_lower, self.cfg.u_upper),
+            X_pred=self.X.copy(),
+            U_pred=self.U.copy(),
+            prep_us=self.prep_us,
+            **stats,
+        )
         # warm-start shift: move every stage forward, duplicate the last
         self.X[:-1] = self.X[1:]
         self.U[:-1] = self.U[1:]
-
-        self.fb_us = _us() - t0
-        return ControlOutput(
-            u0=u0,
-            x_pred=x1,
-            X_pred=X_pred,
-            U_pred=U_pred,
-            prep_us=self.prep_us,
-            fb_us=self.fb_us,
-            qp_iters=qp_iters,
-            qp_status=qp_status,
-            qp_linalg_us=qp_linalg_us,
-            kkt_stationarity=kkt_stat,
-            step_norm=step_norm,
-            degraded=degraded,
-        )
+        out.fb_us = _us() - t0
+        return out
 
     def cycle(self, xhat: np.ndarray, refs: ReferenceWindow) -> ControlOutput:
-        """One full control cycle; honors the preparation/feedback split flag."""
-        if self.split:
-            self.prepare(refs)
-            return self.feedback(xhat)
-        t0 = _us()
+        """One full control cycle: preparation, then feedback."""
         self.prepare(refs)
-        self.prep_us = 0.0
-        out = self.feedback(xhat)
-        out.prep_us = 0.0
-        out.fb_us = _us() - t0
-        self.fb_us = out.fb_us
-        return out
+        return self.feedback(xhat)
 
 
 @dataclass

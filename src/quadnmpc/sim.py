@@ -26,7 +26,7 @@ from . import dynamics as dyn
 from .delay import DelayConfig, InputBuffer, StateHistory, predict
 from .lqr import LqrDesign, design_lqr, lqr_control
 from .ocp import OcpConfig, ReferenceWindow, STAGE_REF_DIM
-from .rti import RtiController, solve_to_convergence
+from .rti import ControlOutput, RtiController, solve_to_convergence
 
 log = logging.getLogger(__name__)
 
@@ -35,11 +35,18 @@ TRACE_COLUMNS = (
     "ref_x,ref_y,ref_z,prep_us,fb_us,degraded"
 )
 REFERENCE_COLUMNS = "t,x,y,z,qw,qx,qy,qz,vx,vy,vz,wx,wy,wz,u1,u2,u3,u4"
-DIAGNOSTICS_COLUMNS = (
-    "k,prep_us,fb_us,qp_linalg_us,qp_iters,qp_status,kkt_stat,step_norm,degraded"
+# (column, ControlOutput attribute, format) of diagnostics.csv after the cycle index k
+DIAGNOSTICS = (
+    ("prep_us", "prep_us", "{:.1f}"),
+    ("fb_us", "fb_us", "{:.1f}"),
+    ("qp_linalg_us", "qp_linalg_us", "{:.1f}"),
+    ("qp_iters", "qp_iters", "{:d}"),
+    ("qp_status", "qp_status", "{}"),
+    ("kkt_stat", "kkt_stationarity", "{:.3e}"),
+    ("step_norm", "step_norm", "{:.6g}"),
+    ("degraded", "degraded", "{:d}"),
 )
-# qp_status of a cycle without a QP (the LQR controller)
-NO_QP = "none"
+DIAGNOSTICS_COLUMNS = ",".join(["k"] + [column for column, _, _ in DIAGNOSTICS])
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +62,6 @@ class PositionSource:
     the controller holds the last received point. Rows carry hover
     attitude/velocity/input.
     """
-
-    preview = False
 
     def __init__(self, position_fn, hover_input: np.ndarray):
         self._fn = position_fn
@@ -79,8 +84,6 @@ class SampledTrajectory:
     Used for pre-generated trajectories; the window previews the stage
     references ahead of the current time.
     """
-
-    preview = True
 
     def __init__(self, times: np.ndarray, rows: np.ndarray):
         times = np.asarray(times, dtype=float)
@@ -105,15 +108,10 @@ class SampledTrajectory:
         return self.rows[self._index(t)].copy()
 
     def window(self, t: float, N: int, dt: float) -> ReferenceWindow:
-        if self.preview:
-            idx = np.minimum(
-                self._index(t) + np.arange(N + 1), len(self.rows) - 1
-            )
-            return ReferenceWindow(
-                stages=self.rows[idx[:N]], terminal=self.rows[idx[N], : dyn.NX].copy()
-            )
-        row = self.row(t)
-        return ReferenceWindow(stages=np.tile(row, (N, 1)), terminal=row[: dyn.NX].copy())
+        idx = np.minimum(self._index(t) + np.arange(N + 1), len(self.rows) - 1)
+        return ReferenceWindow(
+            stages=self.rows[idx[:N]], terminal=self.rows[idx[N], : dyn.NX].copy()
+        )
 
 
 def hover_scenario(params: dyn.QuadrotorParams, p=(0.0, 0.0, 0.4)) -> PositionSource:
@@ -317,7 +315,6 @@ class SimConfig:
     block_size: int = 5
     qp_tol: float = 1e-8
     qp_max_iters: int = 50
-    rti_split: bool = True
     delay: DelayConfig = field(default_factory=DelayConfig)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     vel_filter: VelocityFilterConfig = field(default_factory=VelocityFilterConfig)
@@ -335,38 +332,30 @@ class SimConfig:
 
 @dataclass
 class SimTrace:
+    """One flight, a row per control cycle.
+
+    ``state``, ``measured`` and ``estimated`` are the true, the measured
+    and the controller's estimated state, ``u`` the applied input and
+    ``ref`` the reference position. ``cycles`` holds each cycle's
+    controller record without its predicted horizon.
+    """
+
     t: np.ndarray
     state: np.ndarray
     measured: np.ndarray
     estimated: np.ndarray
     u: np.ndarray
     ref: np.ndarray
-    prep_us: np.ndarray
-    fb_us: np.ndarray
-    qp_iters: np.ndarray
-    qp_status: np.ndarray = None
-    qp_linalg_us: np.ndarray = None
-    kkt_stat: np.ndarray = None
-    step_norm: np.ndarray = None
-    degraded: np.ndarray = None
+    cycles: list[ControlOutput] = field(default_factory=list)
     predictor_fallbacks: int = 0
     failure: str | None = None
 
-    def __post_init__(self):
-        n = len(self.t)
-        if self.qp_status is None:
-            self.qp_status = np.full(n, NO_QP)
-        if self.qp_linalg_us is None:
-            self.qp_linalg_us = np.zeros(n)
-        if self.kkt_stat is None:
-            self.kkt_stat = np.zeros(n)
-        if self.step_norm is None:
-            self.step_norm = np.zeros(n)
-        if self.degraded is None:
-            self.degraded = np.zeros(n, dtype=bool)
-
     def __len__(self) -> int:
         return len(self.t)
+
+    def column(self, name: str) -> np.ndarray:
+        """The :class:`ControlOutput` attribute ``name`` of every cycle."""
+        return np.array([getattr(out, name) for out in self.cycles])
 
 
 def _quantize_delay(value: float, h: float, name: str) -> float:
@@ -408,7 +397,6 @@ def run_closed_loop(cfg: SimConfig) -> SimTrace:
             block_size=cfg.block_size,
             qp_tol=cfg.qp_tol,
             qp_max_iters=cfg.qp_max_iters,
-            split=cfg.rti_split,
         )
         ctrl.reset(source.position(0.0))
         lqr_design = None
@@ -424,11 +412,8 @@ def run_closed_loop(cfg: SimConfig) -> SimTrace:
     )
     prev_meas_pos = None
 
-    rows = {name: [] for name in (
-        "t", "state", "measured", "estimated", "u", "ref",
-        "prep_us", "fb_us", "qp_iters", "qp_status", "qp_linalg_us", "kkt_stat", "step_norm",
-        "degraded",
-    )}
+    rows = []  # (state, measured, estimated, u, ref) of each cycle
+    cycles = []
     fallbacks = 0
     failure = None
 
@@ -461,36 +446,17 @@ def run_closed_loop(cfg: SimConfig) -> SimTrace:
 
         if cfg.controller == "nmpc":
             out = ctrl.cycle(est, source.window(t, cfg.ocp.N, tau_s))
-            u_cmd = out.u0
-            prep_us, fb_us = out.prep_us, out.fb_us
-            qp_iters, step_norm, degraded = out.qp_iters, out.step_norm, out.degraded
-            qp_status, qp_linalg_us = out.qp_status, out.qp_linalg_us
-            kkt_stat = out.kkt_stationarity
+            # the trace keeps the diagnostics, not the predicted horizons
+            out.X_pred = out.U_pred = None
         else:
             t0 = time.perf_counter_ns()
-            u_cmd = lqr_control(lqr_design, est, p_ref=source.position(t))
-            fb_us = (time.perf_counter_ns() - t0) / 1000.0
-            prep_us, qp_iters, step_norm, degraded = 0.0, 0, 0.0, False
-            qp_status, qp_linalg_us = NO_QP, 0.0
-            kkt_stat = 0.0
+            u0 = lqr_control(lqr_design, est, p_ref=source.position(t))
+            out = ControlOutput(u0, fb_us=(time.perf_counter_ns() - t0) / 1000.0)
 
-        u_cmd = np.clip(u_cmd, cfg.ocp.u_lower, cfg.ocp.u_upper)
+        u_cmd = np.clip(out.u0, cfg.ocp.u_lower, cfg.ocp.u_upper)
         buffer.push(t + tau_fwd, u_cmd)
-
-        rows["t"].append(t)
-        rows["state"].append(truth.copy())
-        rows["measured"].append(meas)
-        rows["estimated"].append(est)
-        rows["u"].append(u_cmd)
-        rows["ref"].append(source.position(t))
-        rows["prep_us"].append(prep_us)
-        rows["fb_us"].append(fb_us)
-        rows["qp_iters"].append(qp_iters)
-        rows["qp_status"].append(qp_status)
-        rows["qp_linalg_us"].append(qp_linalg_us)
-        rows["kkt_stat"].append(kkt_stat)
-        rows["step_norm"].append(step_norm)
-        rows["degraded"].append(degraded)
+        rows.append((truth.copy(), meas, est, u_cmd, source.position(t)))
+        cycles.append(out)
 
         for j in range(n_sub):
             s = t + j * h
@@ -506,21 +472,15 @@ def run_closed_loop(cfg: SimConfig) -> SimTrace:
             failure = f"plant left the sanity envelope at t={t + tau_s:.3f} s"
             break
 
+    state, measured, estimated, u, ref = (np.array([row[i] for row in rows]) for i in range(5))
     return SimTrace(
-        t=np.array(rows["t"]),
-        state=np.array(rows["state"]),
-        measured=np.array(rows["measured"]),
-        estimated=np.array(rows["estimated"]),
-        u=np.array(rows["u"]),
-        ref=np.array(rows["ref"]),
-        prep_us=np.array(rows["prep_us"]),
-        fb_us=np.array(rows["fb_us"]),
-        qp_iters=np.array(rows["qp_iters"], dtype=int),
-        qp_status=np.array(rows["qp_status"], dtype=str),
-        qp_linalg_us=np.array(rows["qp_linalg_us"]),
-        kkt_stat=np.array(rows["kkt_stat"]),
-        step_norm=np.array(rows["step_norm"]),
-        degraded=np.array(rows["degraded"], dtype=bool),
+        t=np.arange(len(rows)) * tau_s,
+        state=state,
+        measured=measured,
+        estimated=estimated,
+        u=u,
+        ref=ref,
+        cycles=cycles,
         predictor_fallbacks=fallbacks,
         failure=failure,
     )
@@ -645,34 +605,14 @@ def write_trace_csv(path, trace: SimTrace) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(TRACE_COLUMNS.split(","))
-        for i in range(len(trace)):
+        for i, out in enumerate(trace.cycles):
             w.writerow(
                 [f"{trace.t[i]:.6f}"]
                 + [f"{v:.9g}" for v in trace.state[i]]
                 + [f"{v:.9g}" for v in trace.u[i]]
                 + [f"{v:.9g}" for v in trace.ref[i]]
-                + [f"{trace.prep_us[i]:.1f}", f"{trace.fb_us[i]:.1f}", int(trace.degraded[i])]
+                + [f"{out.prep_us:.1f}", f"{out.fb_us:.1f}", int(out.degraded)]
             )
-
-
-def read_trace_csv(path) -> SimTrace:
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    data = np.atleast_1d(data)
-    cols = TRACE_COLUMNS.split(",")
-    grab = lambda names: np.column_stack([data[c] for c in names])
-    return SimTrace(
-        t=data["t"],
-        state=grab(cols[1:14]),
-        measured=grab(cols[1:14]),
-        estimated=grab(cols[1:14]),
-        u=grab(cols[14:18]),
-        ref=grab(cols[18:21]),
-        prep_us=data["prep_us"],
-        fb_us=data["fb_us"],
-        qp_iters=np.zeros(len(data), dtype=int),
-        step_norm=np.zeros(len(data)),
-        degraded=data["degraded"].astype(bool),
-    )
 
 
 def write_diagnostics_csv(path, trace: SimTrace) -> None:
@@ -680,20 +620,8 @@ def write_diagnostics_csv(path, trace: SimTrace) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(DIAGNOSTICS_COLUMNS.split(","))
-        for k in range(len(trace)):
-            w.writerow(
-                [
-                    k,
-                    f"{trace.prep_us[k]:.1f}",
-                    f"{trace.fb_us[k]:.1f}",
-                    f"{trace.qp_linalg_us[k]:.1f}",
-                    int(trace.qp_iters[k]),
-                    trace.qp_status[k],
-                    f"{trace.kkt_stat[k]:.3e}",
-                    f"{trace.step_norm[k]:.6g}",
-                    int(trace.degraded[k]),
-                ]
-            )
+        for k, out in enumerate(trace.cycles):
+            w.writerow([k] + [fmt.format(getattr(out, attr)) for _, attr, fmt in DIAGNOSTICS])
 
 
 def read_diagnostics_csv(path) -> np.ndarray:

@@ -311,10 +311,10 @@ def benchmark(
             trace = run_closed_loop(cfg)
             if trace.failure is not None or len(trace) < warmup + cycles:
                 raise RuntimeError(f"benchmark run N={N} solver={solver} did not complete")
-            prep = trace.prep_us[warmup:]
-            solve = trace.fb_us[warmup:]
-            iters = np.maximum(trace.qp_iters[warmup:], 1)
-            kernel = trace.qp_linalg_us[warmup:]
+            prep = trace.column("prep_us")[warmup:]
+            solve = trace.column("fb_us")[warmup:]
+            iters = np.maximum(trace.column("qp_iters")[warmup:], 1)
+            kernel = trace.column("qp_linalg_us")[warmup:]
             for k in range(len(prep)):
                 res.rows.append(
                     {

@@ -82,14 +82,13 @@ def stack_qp_dense(qp):
     e = np.zeros(ne)
     E[:nx, :nx] = np.eye(nx)
     e[:nx] = qp.x0_residual
-    defects = qp.defects()
     for i in range(N):
         r0 = nx * (i + 1)
         ix, iu, mu = offs_x[i], offs_u[i], dims_u[i]
         E[r0 : r0 + nx, offs_x[i + 1] : offs_x[i + 1] + nx] = np.eye(nx)
         E[r0 : r0 + nx, ix : ix + nx] = -qp.A[i]
         E[r0 : r0 + nx, iu : iu + mu] = -qp.B[i]
-        e[r0 : r0 + nx] = defects[i]
+        e[r0 : r0 + nx] = qp.c[i]
 
     lb_idx = []
     lb = []
@@ -257,20 +256,19 @@ class CondenseReference:
     A ragged last block is padded with inert stages: identity dynamics,
     no state cost, unit input cost, zero input gradient, bounds +-1 and
     zero input columns. The attributes are the arrays of the condensed QP:
-    ``A, B, d, Q, R, S, q, r, lb, ub, Q_N, q_N, x0_residual, xbar, ubar``.
+    ``A, B, c, Q, R, S, q, r, lb, ub, Q_N, q_N, x0_residual``.
     """
 
     def __init__(self, qp, M):
         N, nx, nu = qp.B.shape
-        c = qp.d + _mv(qp.A, qp.xbar[:-1]) + _mv(qp.B, qp.ubar) - qp.xbar[1:]
-        arrays = [qp.A, qp.B, c, qp.Q, qp.q, qp.R, qp.r, qp.lb, qp.ub, qp.ubar]
+        arrays = [qp.A, qp.B, qp.c, qp.Q, qp.q, qp.R, qp.r, qp.lb, qp.ub]
         pad = -N % M
-        fills = [np.eye(nx), 0.0, 0.0, 0.0, 0.0, np.eye(nu), 0.0, -1.0, 1.0, 0.0]
+        fills = [np.eye(nx), 0.0, 0.0, 0.0, 0.0, np.eye(nu), 0.0, -1.0, 1.0]
         arrays = [
             np.concatenate([a, np.broadcast_to(fill, (pad,) + a.shape[1:])])
             for a, fill in zip(arrays, fills)
         ]
-        A, B, c, Q, q, R, r, lb, ub, ubar = [a.reshape((-1, M) + a.shape[1:]) for a in arrays]
+        A, B, c, Q, q, R, r, lb, ub = [a.reshape((-1, M) + a.shape[1:]) for a in arrays]
         nb = A.shape[0]
         mU = M * nu
         T = np.broadcast_to(np.eye(nx), (nb, nx, nx))
@@ -300,19 +298,13 @@ class CondenseReference:
             G[:, :, :k] = A[:, j] @ Gk
             G[:, :, cols] = B[:, j]
             T = A[:, j] @ T
-        xb = qp.xbar[:N:M]
-        Ub = ubar.reshape(nb, mU)
-        x_next = qp.xbar[np.minimum(np.arange(1, nb + 1) * M, N)]
-        self.A, self.B = T, G
-        self.d = f - (_mv(T, xb) + _mv(G, Ub) - x_next)
+        self.A, self.B, self.c = T, G, f
         self.Q = 0.5 * (Qb + Qb.swapaxes(1, 2))
         self.R = 0.5 * (Rb + Rb.swapaxes(1, 2))
         self.S = Sb
         self.q, self.r = qb, rb
         self.lb, self.ub = lb.reshape(nb, mU), ub.reshape(nb, mU)
         self.Q_N, self.q_N, self.x0_residual = qp.Q_N, qp.q_N, qp.x0_residual
-        self.xbar = np.concatenate([xb, qp.xbar[N:]])
-        self.ubar = Ub
 
 
 def _mv(M, v):

@@ -18,7 +18,12 @@ from test_qp import make_random_qp
 from quadnmpc import dynamics as dyn
 from quadnmpc.delay import DelayConfig, InputBuffer, predict
 from quadnmpc.lqr import dare_residual, design_lqr, solve_dare
-from quadnmpc.ocp import OcpConfig, discrete_dynamics, discrete_jacobians, hover_reference_window
+from quadnmpc.ocp import (
+    OcpConfig,
+    discrete_dynamics_batch,
+    discrete_jacobians_batch,
+    hover_reference_window,
+)
 from quadnmpc.qp import expand, partial_condense, solve_dense_ipm, solve_riccati_ipm
 from quadnmpc.rti import RtiController
 from quadnmpc.sim import (
@@ -40,6 +45,11 @@ from quadnmpc.studies import (
 
 PARAMS = dyn.QuadrotorParams()
 TAU_S = 0.015
+
+
+def step(xi, u):
+    """One prediction-model step of a single state: the batch with B = 1."""
+    return discrete_dynamics_batch(xi[None], u[None], TAU_S, PARAMS)[0]
 
 
 def report(num: int, name: str, ok: bool) -> bool:
@@ -124,9 +134,9 @@ class TestCriterion02Sensitivities:
         for _ in range(100):
             xi = random_state(rng)
             u = rng.uniform(2.0, 20.0, 4)
-            _, A, B = discrete_jacobians(xi, u, TAU_S, PARAMS)
-            A_fd = central_diff_jacobian(lambda x: discrete_dynamics(x, u, TAU_S, PARAMS), xi)
-            B_fd = central_diff_jacobian(lambda v: discrete_dynamics(xi, v, TAU_S, PARAMS), u)
+            _, (A,), (B,) = discrete_jacobians_batch(xi[None], u[None], TAU_S, PARAMS)
+            A_fd = central_diff_jacobian(lambda x: step(x, u), xi)
+            B_fd = central_diff_jacobian(lambda v: step(xi, v), u)
             worst = max(
                 worst,
                 np.abs(A - A_fd).max() / np.abs(A).max(),
@@ -331,7 +341,7 @@ class TestCriterion11TrajectoryExperiments:
         kkt_ok = res.kkt_history[-1] <= 1e-6
         defects = []
         for i in range(0, 400, 7):
-            nxt = discrete_dynamics(source.rows[i, :13], source.rows[i, 13:], TAU_S, PARAMS)
+            nxt = step(source.rows[i, :13], source.rows[i, 13:])
             defects.append(np.abs(source.rows[i + 1, :13] - nxt).max())
         defect_ok = max(defects) <= 1e-6
         terminal_ok = np.abs(source.rows[-1, :3] - [1, -1, 1]).max() <= 1e-3

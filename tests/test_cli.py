@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -8,8 +9,8 @@ from quadnmpc.cli import main
 from quadnmpc.config import ConfigError, RunConfig
 from quadnmpc.dynamics import QuadrotorParams
 from quadnmpc.ocp import OcpConfig
-from quadnmpc.sim import SimConfig
-from quadnmpc.sim import read_diagnostics_csv, read_reference_csv, read_trace_csv
+from quadnmpc.sim import SimConfig, gen_helix, gen_smooth_step
+from quadnmpc.sim import read_diagnostics_csv, read_reference_csv
 
 
 class TestConfig:
@@ -30,7 +31,6 @@ class TestConfig:
         assert rc.get("qp", "block_size") == sim["block_size"]
         assert rc.get("qp", "tol") == sim["qp_tol"]
         assert rc.get("qp", "max_iters") == sim["qp_max_iters"]
-        assert rc.get("rti", "split") == sim["rti_split"]
         # every field of the built SimConfig but the scenario, the horizon and
         # the CLI's longer flight is the dataclass default, nested ones included
         built = rc.make_sim()
@@ -39,6 +39,15 @@ class TestConfig:
             if f.name not in ("scenario", "ocp", "duration"):
                 assert getattr(built, f.name) == getattr(default, f.name), f.name
         assert built.duration == 7.5
+        # [traj] holds the generators' keyword defaults
+        smooth = inspect.signature(gen_smooth_step).parameters
+        for key in ("start", "target"):
+            np.testing.assert_array_equal(rc.vector("traj", key, 3), smooth[key].default)
+        assert rc.get("traj", "T") == smooth["T"].default
+        assert rc.get("traj", "N") == smooth["N"].default
+        helix, _ = rc.make_trajectory("helix")
+        np.testing.assert_array_equal(helix.rows, gen_helix(QuadrotorParams()).rows)
+        np.testing.assert_array_equal(helix.times, gen_helix(QuadrotorParams()).times)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -104,7 +113,7 @@ class TestCli:
         assert (tmp_path / "plot_trace.py").exists()
         metrics = json.loads((tmp_path / "metrics.json").read_text())
         assert metrics["rms_norm_m"] <= 1e-6
-        trace = read_trace_csv(tmp_path / "trace.csv")
+        trace = np.genfromtxt(tmp_path / "trace.csv", delimiter=",", names=True)
         assert len(trace) == 40
         diag = read_diagnostics_csv(tmp_path / "diagnostics.csv")
         assert len(diag) == 40
@@ -137,6 +146,27 @@ class TestCli:
         assert metrics["unconverged_cycles"] == unconverged
         assert np.all(diag["qp_iters"][diag["qp_status"] == "max_iterations"] == 1)
         assert set(diag["qp_status"]) <= {"converged", "max_iterations"}
+
+    def test_simulate_lqr_records_cycles_without_qp(self, tmp_path):
+        code = main(
+            [
+                "simulate",
+                "--set", "sim.controller=lqr",
+                "--set", "sim.scenario=zstep",
+                "--set", "sim.duration=0.3",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        diag = read_diagnostics_csv(tmp_path / "diagnostics.csv")
+        assert len(diag) == 20
+        assert set(diag["qp_status"]) == {"none"}
+        assert np.all(diag["qp_iters"] == 0)
+        assert np.all(diag["prep_us"] == 0.0)
+        assert np.all(diag["degraded"] == 0)
+        assert np.all(diag["fb_us"] > 0.0)
+        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        assert metrics["degraded_cycles"] == 0 and metrics["unconverged_cycles"] == 0
 
     def test_simulate_malformed_config_exits_2_without_outputs(self, tmp_path):
         cfg = tmp_path / "bad.ini"

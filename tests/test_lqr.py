@@ -38,10 +38,10 @@ class TestReduction:
             assert A[ax, 6 + ax] == pytest.approx(0.015, rel=1e-6)
 
     def test_quaternion_scalar_rows_vanish(self, params):
-        from quadnmpc.ocp import discrete_jacobians
+        from quadnmpc.ocp import discrete_jacobians_batch
 
-        _, A13, B13 = discrete_jacobians(
-            dyn.hover_state(), params.hover_input(), 0.015, params
+        _, (A13,), (B13,) = discrete_jacobians_batch(
+            dyn.hover_state()[None], params.hover_input()[None], 0.015, params
         )
         row = A13[3].copy()
         row[3] -= 1.0

@@ -9,11 +9,21 @@ from quadnmpc.ocp import (
     OcpConfig,
     ReferenceWindow,
     build_qp,
-    discrete_dynamics,
-    discrete_jacobians,
+    discrete_dynamics_batch,
     discrete_jacobians_batch,
     hover_reference_window,
 )
+
+
+def step(xi, u, dt, params):
+    """One prediction-model step of a single state: the batch with B = 1."""
+    return discrete_dynamics_batch(xi[None], u[None], dt, params)[0]
+
+
+def jacobians(xi, u, dt, params):
+    """``(x_next, A, B)`` of a single state: the batch with B = 1."""
+    x_next, A, B = discrete_jacobians_batch(xi[None], u[None], dt, params)
+    return x_next[0], A[0], B[0]
 
 
 @pytest.fixture
@@ -48,21 +58,22 @@ class TestConfig:
 class TestDiscreteDynamics:
     def test_hover_is_fixed_point(self, cfg):
         xi = dyn.hover_state((0.1, 0.2, 0.3))
-        out = discrete_dynamics(xi, cfg.params.hover_input(), cfg.dt, cfg.params)
+        out = step(xi, cfg.params.hover_input(), cfg.dt, cfg.params)
         np.testing.assert_allclose(out, xi, atol=1e-12)
 
     def test_small_dt_limit(self, cfg, rng):
         xi = random_state(rng)
         u = rng.uniform(5, 20, 4)
-        out = discrete_dynamics(xi, u, 1e-12, cfg.params)
+        out = step(xi, u, 1e-12, cfg.params)
         np.testing.assert_allclose(out, xi, atol=1e-9)
 
-    def test_matches_generic_integrator_bitwise(self, cfg, rng):
+    def test_matches_generic_integrator(self, cfg, rng):
+        # the plant's integrator on the float ODE; the two ODE paths agree to rounding
         xi = random_state(rng)
         u = rng.uniform(5, 20, 4)
-        direct = discrete_dynamics(xi, u, cfg.dt, cfg.params)
+        direct = step(xi, u, cfg.dt, cfg.params)
         generic = dyn.erk4_step(lambda x: dyn.ode_rhs(x, u, cfg.params), xi, cfg.dt)
-        assert np.array_equal(direct, generic)
+        np.testing.assert_allclose(direct, generic, rtol=0, atol=1e-14)
 
 
 class TestSensitivities:
@@ -70,13 +81,9 @@ class TestSensitivities:
         for _ in range(30):
             xi = random_state(rng)
             u = rng.uniform(2, 20, 4)
-            _, A, B = discrete_jacobians(xi, u, cfg.dt, cfg.params)
-            A_fd = central_diff_jacobian(
-                lambda x: discrete_dynamics(x, u, cfg.dt, cfg.params), xi, eps=1e-6
-            )
-            B_fd = central_diff_jacobian(
-                lambda v: discrete_dynamics(xi, v, cfg.dt, cfg.params), u, eps=1e-6
-            )
+            _, A, B = jacobians(xi, u, cfg.dt, cfg.params)
+            A_fd = central_diff_jacobian(lambda x: step(x, u, cfg.dt, cfg.params), xi, eps=1e-6)
+            B_fd = central_diff_jacobian(lambda v: step(xi, v, cfg.dt, cfg.params), u, eps=1e-6)
             assert np.abs(A - A_fd).max() / np.abs(A).max() < 1e-5
             assert np.abs(B - B_fd).max() / np.abs(B).max() < 1e-5
 
@@ -97,10 +104,8 @@ class TestSensitivities:
     def test_predicted_state_consistency(self, cfg, rng):
         xi = random_state(rng)
         u = rng.uniform(2, 20, 4)
-        x_next, _, _ = discrete_jacobians(xi, u, cfg.dt, cfg.params)
-        np.testing.assert_allclose(
-            x_next, discrete_dynamics(xi, u, cfg.dt, cfg.params), atol=1e-14
-        )
+        x_next, _, _ = jacobians(xi, u, cfg.dt, cfg.params)
+        np.testing.assert_allclose(x_next, step(xi, u, cfg.dt, cfg.params), atol=1e-14)
 
 
 def random_guess(cfg, rng):
@@ -142,8 +147,9 @@ class TestStageLinearization:
     def test_affine_constant_reconstructs_prediction(self, cfg, rng):
         X, U = random_guess(cfg, rng)
         qp = build_qp(X, U, window_of(cfg, np.zeros(17)), X[0], cfg)
-        x_next = discrete_jacobians(X[0], U[0], cfg.dt, cfg.params)[0]
-        np.testing.assert_allclose(qp.A[0] @ X[0] + qp.B[0] @ U[0] + qp.d[0], x_next, atol=1e-12)
+        x_next = jacobians(X[0], U[0], cfg.dt, cfg.params)[0]
+        # c_0 = F(X_0, U_0) - X_1
+        np.testing.assert_allclose(X[1] + qp.c[0], x_next, atol=1e-12)
 
     def test_shifted_bounds(self, cfg):
         X, _ = hover_guess(cfg)
@@ -159,14 +165,11 @@ class TestBuildQp:
         refs = hover_reference_window(cfg)
         qp = build_qp(X, U, refs, X[0], cfg)
         assert qp.num_stages == cfg.N
-        xi = X[0]
-        u = U[0]
-        defects = qp.defects()
         for i in range(qp.num_stages):
-            np.testing.assert_allclose(qp.d[i], xi - qp.A[i] @ xi - qp.B[i] @ u, atol=1e-12)
+            # hover is a fixed point: c_i = F(X_i, U_i) - X_{i+1} vanishes
+            np.testing.assert_allclose(qp.c[i], 0, atol=1e-12)
             np.testing.assert_allclose(qp.q[i], 0, atol=1e-14)
             np.testing.assert_allclose(qp.r[i], 0, atol=1e-14)
-            np.testing.assert_allclose(defects[i], 0, atol=1e-12)
         np.testing.assert_allclose(qp.x0_residual, 0)
 
     def test_single_stage_horizon(self, params):
@@ -183,10 +186,10 @@ class TestBuildQp:
         qp = build_qp(X, U, refs, X[0], cfg)
         Wx, Wu = cfg.W[:13], cfg.W[13:]
         for i in (0, 7, cfg.N - 1):
-            x_next, A, B = discrete_jacobians(X[i], U[i], cfg.dt, cfg.params)
+            x_next, A, B = jacobians(X[i], U[i], cfg.dt, cfg.params)
             np.testing.assert_allclose(qp.A[i], A, atol=1e-12)
             np.testing.assert_allclose(qp.B[i], B, atol=1e-12)
-            np.testing.assert_allclose(qp.d[i], x_next - A @ X[i] - B @ U[i], atol=1e-10)
+            np.testing.assert_allclose(qp.c[i], x_next - X[i + 1], atol=1e-10)
             np.testing.assert_allclose(qp.q[i], Wx * (X[i] - refs.stages[i, :13]), atol=1e-12)
             np.testing.assert_allclose(qp.r[i], Wu * (U[i] - refs.stages[i, 13:]), atol=1e-12)
 

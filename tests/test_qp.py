@@ -11,11 +11,13 @@ from oracles import (
     solve_qp_equality_kkt,
     stack_qp_dense,
 )
+from conftest import random_state
 from quadnmpc.dynamics import hover_state
-from quadnmpc.ocp import OcpConfig, build_qp, hover_reference_window
+from quadnmpc.ocp import OcpConfig, build_qp, discrete_dynamics_batch, hover_reference_window
 from quadnmpc.qp import (
     OcpQp,
     QpNumericalError,
+    QpSolution,
     _barrier_hessians,
     _RiccatiSweep,
     expand,
@@ -30,7 +32,7 @@ from quadnmpc.qp import (
 
 def make_random_qp(rng, N=4, nx=3, nu=2, bound_scale=1.0):
     """Random stage QP with PSD state cost, PD input cost, finite bounds."""
-    stages = {key: [] for key in ("A", "B", "d", "Q", "R", "q", "r", "lb", "ub")}
+    stages = {key: [] for key in ("A", "B", "c", "Q", "R", "q", "r", "lb", "ub")}
     for _ in range(N):
         A = rng.normal(size=(nx, nx))
         A *= 0.9 / max(1.0, np.abs(np.linalg.eigvals(A)).max())
@@ -44,7 +46,7 @@ def make_random_qp(rng, N=4, nx=3, nu=2, bound_scale=1.0):
         stage = dict(
             A=A,
             B=B,
-            d=rng.normal(size=nx) * 0.2,
+            c=rng.normal(size=nx) * 0.2,
             Q=Q,
             R=R,
             q=rng.normal(size=nx),
@@ -74,22 +76,26 @@ class TestDataModel:
         with pytest.raises(ValueError):
             OcpQp(**{**vars(qp), "lb": qp.ub, "ub": qp.lb})
 
-    def test_defect_equals_d_for_zero_linearization(self, rng):
+    def test_continuity_constant_is_the_defect_of_the_zero_step(self, rng):
+        # x_{i+1} = A_i x_i + B_i u_i + c_i misses by c_i at x = 0, u = 0
         qp = make_random_qp(rng)
-        defects = qp.defects()
-        for i in range(qp.num_stages):
-            np.testing.assert_allclose(defects[i], qp.d[i])
+        qp.x0_residual[:] = 0
+        N, nx, nu = qp.B.shape
+        zero = QpSolution(
+            x=np.zeros((N + 1, nx)), u=np.zeros((N, nu)), pi=np.zeros((N + 1, nx)),
+            lam_lo=np.zeros((N, nu)), lam_hi=np.zeros((N, nu)), iters=0, status="probe",
+        )
+        assert kkt_residuals(qp, zero).equality == np.abs(qp.c).max()
 
-    def test_affine_model_reconstructs_f_at_linearization_point(self, rng):
-        # with xbar/ubar attached, A xbar + B ubar + d must equal the
-        # stored next-state prediction defect + xbar_next
-        qp = make_random_qp(rng, N=3)
-        qp.xbar = rng.normal(size=qp.xbar.shape)
-        qp.ubar = np.array([rng.normal(size=2) for _ in range(3)])
-        defects = qp.defects()
-        for i in range(qp.num_stages):
-            F = defects[i] + qp.xbar[i + 1]
-            np.testing.assert_allclose(qp.A[i] @ qp.xbar[i] + qp.B[i] @ qp.ubar[i] + qp.d[i], F)
+    def test_affine_model_reconstructs_f_at_linearization_point(self, params, rng):
+        # at the linearization point (zero deviation) the affine model
+        # predicts c_i = F(X_i, U_i) - X_{i+1}
+        cfg = OcpConfig(N=3, params=params)
+        X = np.array([random_state(rng) for _ in range(cfg.N + 1)])
+        U = rng.uniform(2, 20, (cfg.N, 4))
+        qp = build_qp(X, U, hover_reference_window(cfg), X[0], cfg)
+        F = discrete_dynamics_batch(X[:-1], U, cfg.dt, params)
+        np.testing.assert_allclose(qp.c, F - X[1:], rtol=0, atol=1e-14)
 
 
 class TestRiccatiIpm:
@@ -109,7 +115,7 @@ class TestRiccatiIpm:
         qp = OcpQp(
             A=np.zeros((1, 1, 1)),
             B=np.zeros((1, 1, 1)),
-            d=np.zeros((1, 1)),
+            c=np.zeros((1, 1)),
             Q=np.zeros((1, 1, 1)),
             R=np.ones((1, 1, 1)),
             q=np.zeros((1, 1)),
@@ -130,7 +136,7 @@ class TestRiccatiIpm:
         qp = make_random_qp(rng, N=5)
         qp.q[:] = 0
         qp.r[:] = 0
-        qp.d[:] = 0
+        qp.c[:] = 0
         qp.q_N[:] = 0
         qp.x0_residual[:] = 0
         sol = solve_riccati_ipm(qp, tol=1e-8)
@@ -274,7 +280,7 @@ class TestCondensing:
             np.testing.assert_allclose(c.R[i], o.R[i])
             np.testing.assert_allclose(c.q[i], o.q[i])
             np.testing.assert_allclose(c.r[i], o.r[i])
-            np.testing.assert_allclose(c.d[i], o.d[i])
+            np.testing.assert_allclose(c.c[i], o.c[i])
             np.testing.assert_allclose(c.S[i], 0.0)
 
     def test_stage_count_arithmetic(self, rng):
@@ -392,15 +398,13 @@ class TestCondensingProperties:
 
 @st.composite
 def condensing_cases(draw):
-    """A banded QP with linearization points, zero-``Q`` stages and any block size."""
+    """A banded QP with zero-``Q`` stages and any block size."""
     N = draw(st.integers(1, 12))
     M = draw(st.integers(1, N))
     nx = draw(st.integers(1, 4))
     nu = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     qp = make_random_qp(rng, N=N, nx=nx, nu=nu)
-    qp.xbar = rng.normal(size=(N + 1, nx))
-    qp.ubar = rng.normal(size=(N, nu))
     zero_Q = draw(st.lists(st.booleans(), min_size=N, max_size=N))
     qp.Q[np.array(zero_Q)] = 0.0
     return qp, M
@@ -413,10 +417,7 @@ class TestCondensingRecursion:
         qp, M = case
         got = partial_condense(qp, M).qp
         ref = CondenseReference(qp, M)
-        for name in (
-            "A", "B", "d", "Q", "R", "S", "q", "r", "lb", "ub", "Q_N", "q_N", "x0_residual",
-            "xbar", "ubar",
-        ):
+        for name in ("A", "B", "c", "Q", "R", "S", "q", "r", "lb", "ub", "Q_N", "q_N", "x0_residual"):
             a, b = getattr(got, name), getattr(ref, name)
             assert a.shape == b.shape, name
             assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max()), name

@@ -7,7 +7,7 @@ from quadnmpc.ocp import (
     OcpConfig,
     ReferenceWindow,
     build_qp,
-    discrete_dynamics,
+    discrete_dynamics_batch,
     hover_reference_window,
 )
 from quadnmpc.qp import QpNumericalError
@@ -76,9 +76,11 @@ class TestRtiController:
         out = ctrl.cycle(xhat, refs)
         ctrl.prepare(refs)
         # linearization points of the new cycle are the shifted updated iterate
-        xbar = ctrl._prepared.original.xbar
-        for i in range(cfg.N - 1):
-            np.testing.assert_array_equal(xbar[i], out.X_pred[i + 1])
+        X = np.concatenate([out.X_pred[1:], out.X_pred[-1:]])
+        U = np.concatenate([out.U_pred[1:], out.U_pred[-1:]])
+        got, expected = ctrl._prepared.original, build_qp(X, U, refs, X[0], cfg)
+        for name in ("A", "B", "c", "q", "r", "lb", "ub", "q_N"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
 
     def test_shift_consistency(self, cfg):
         ctrl = RtiController(cfg)
@@ -175,18 +177,6 @@ class TestRtiController:
         # the next cycle with a finite estimate solves again
         assert not ctrl.cycle(dyn.hover_state(), refs).degraded
 
-    def test_split_and_monolithic_identical(self, cfg):
-        refs = hover_reference_window(cfg, p=(0.4, 0.0, -0.2))
-        a = RtiController(cfg, split=True)
-        b = RtiController(cfg, split=False)
-        xhat = dyn.hover_state((0.02, -0.01, 0.0))
-        for _ in range(3):
-            oa = a.cycle(xhat, refs)
-            ob = b.cycle(xhat, refs)
-            np.testing.assert_array_equal(oa.u0, ob.u0)
-            np.testing.assert_array_equal(oa.x_pred, ob.x_pred)
-        assert ob.prep_us == 0.0
-
     def test_dense_solver_pipeline_matches_riccati(self, params):
         cfg = OcpConfig(N=10, params=params)
         refs = hover_reference_window(cfg, p=(0.3, 0.1, 0.2))
@@ -220,8 +210,8 @@ class TestSolveToConvergence:
         np.testing.assert_allclose(res.X[-1][:3], [0.3, -0.3, 0.7], atol=1e-3)
         # dynamic feasibility of the converged trajectory
         for i in range(cfg.N):
-            defect = res.X[i + 1] - discrete_dynamics(res.X[i], res.U[i], cfg.dt, cfg.params)
-            assert np.abs(defect).max() <= 1e-6
+            F = discrete_dynamics_batch(res.X[i : i + 1], res.U[i : i + 1], cfg.dt, cfg.params)
+            assert np.abs(res.X[i + 1] - F[0]).max() <= 1e-6
         assert np.all(res.U >= cfg.u_lower - 1e-9)
         assert np.all(res.U <= cfg.u_upper + 1e-9)
 

@@ -19,7 +19,6 @@ from quadnmpc.sim import (
     gen_smooth_step,
     hover_scenario,
     read_reference_csv,
-    read_trace_csv,
     reconstruct_commands,
     run_closed_loop,
     step_scenario,
@@ -93,10 +92,11 @@ class TestSmoothStep:
         assert res.kkt_history[-1] <= 1e-6
         np.testing.assert_allclose(src.rows[-1, :3], [0.3, -0.3, 0.7], atol=1e-3)
         # defect check by re-simulation
-        from quadnmpc.ocp import discrete_dynamics
+        from quadnmpc.ocp import discrete_dynamics_batch
 
         for i in range(0, 150, 10):
-            nxt = discrete_dynamics(src.rows[i, :13], src.rows[i, 13:], 0.015, params)
+            row = src.rows[i : i + 1]
+            nxt = discrete_dynamics_batch(row[:, :13], row[:, 13:], 0.015, params)[0]
             assert np.abs(src.rows[i + 1, :13] - nxt).max() <= 1e-6
         assert np.all(src.rows[:, 13:] >= -1e-9)
         assert np.all(src.rows[:, 13:] <= 22.0 + 1e-9)
@@ -285,11 +285,6 @@ class TestMetrics:
             estimated=state.copy(),
             u=np.full((K, 4), 15.0),
             ref=ref,
-            prep_us=np.zeros(K),
-            fb_us=np.zeros(K),
-            qp_iters=np.zeros(K, dtype=int),
-            step_norm=np.zeros(K),
-            degraded=np.zeros(K, dtype=bool),
         )
 
     def test_perfect_tracking(self):
@@ -334,11 +329,13 @@ class TestCsvRoundTrip:
         trace = run_closed_loop(cfg)
         path = tmp_path / "trace.csv"
         write_trace_csv(path, trace)
-        back = read_trace_csv(path)
-        np.testing.assert_allclose(back.state, trace.state, rtol=1e-6)
-        np.testing.assert_allclose(back.u, trace.u, rtol=1e-6)
-        np.testing.assert_allclose(back.ref, trace.ref, rtol=1e-6)
-        assert back.t.shape == trace.t.shape
+        back = np.genfromtxt(path, delimiter=",", names=True)
+        columns = lambda names: np.column_stack([back[name] for name in names.split(",")])
+        state = columns("x,y,z,qw,qx,qy,qz,vx,vy,vz,wx,wy,wz")
+        np.testing.assert_allclose(state, trace.state, rtol=1e-6)
+        np.testing.assert_allclose(columns("u1,u2,u3,u4"), trace.u, rtol=1e-6)
+        np.testing.assert_allclose(columns("ref_x,ref_y,ref_z"), trace.ref, rtol=1e-6)
+        assert back["t"].shape == trace.t.shape
 
     def test_reference_full(self, params, tmp_path):
         src = gen_helix(params, m=50)
@@ -370,9 +367,9 @@ class TestDiagnosticsCsv:
         assert header == DIAGNOSTICS_COLUMNS
         back = read_diagnostics_csv(path)
         assert len(back) == len(trace)
-        np.testing.assert_allclose(back["qp_iters"], trace.qp_iters)
-        np.testing.assert_allclose(back["degraded"], trace.degraded.astype(int))
-        np.testing.assert_array_equal(back["qp_status"], trace.qp_status)
+        np.testing.assert_allclose(back["qp_iters"], trace.column("qp_iters"))
+        np.testing.assert_allclose(back["degraded"], trace.column("degraded").astype(int))
+        np.testing.assert_array_equal(back["qp_status"], trace.column("qp_status"))
         # times are written with one decimal
-        np.testing.assert_allclose(back["qp_linalg_us"], trace.qp_linalg_us, atol=0.05)
+        np.testing.assert_allclose(back["qp_linalg_us"], trace.column("qp_linalg_us"), atol=0.05)
         assert np.all(back["qp_linalg_us"] > 0.0)
