@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import inspect
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -221,27 +222,37 @@ class RunConfig:
             raise ConfigError(f"nmpc: {exc}") from exc
 
     def make_delay(self) -> DelayConfig:
+        """The latencies; with compensation, at least one predictor substep per cycle.
+
+        The replay predictor applies one buffered input per substep. A
+        round trip spanning more control cycles than substeps holds
+        inputs across their switching times, which the default step
+        flight does not survive at ``lambda=2`` with one substep.
+        """
         lam = self.get("delay", "lambda")
         taus = [self.get("delay", k) for k in ("tau1", "tau2", "tauc")]
+        dt = self.get("nmpc", "dt")
+        kwargs = {
+            "compensate": self.get("delay", "compensate"),
+            "predictor_steps": self.get("delay", "predictor_steps"),
+        }
         try:
             if lam >= 0:
                 if any(t != 0.0 for t in taus):
                     raise ConfigError("delay.lambda is exclusive with delay.tau1/tau2/tauc")
-                return DelayConfig.from_cycle_multiple(
-                    lam,
-                    self.get("nmpc", "dt"),
-                    compensate=self.get("delay", "compensate"),
-                    predictor_steps=self.get("delay", "predictor_steps"),
-                )
-            return DelayConfig(
-                tau1=taus[0],
-                tau2=taus[1],
-                tauc=taus[2],
-                compensate=self.get("delay", "compensate"),
-                predictor_steps=self.get("delay", "predictor_steps"),
-            )
+                delay = DelayConfig.from_cycle_multiple(lam, dt, **kwargs)
+            else:
+                delay = DelayConfig(tau1=taus[0], tau2=taus[1], tauc=taus[2], **kwargs)
         except ValueError as exc:
             raise ConfigError(f"delay: {exc}") from exc
+        # lambda * dt / dt may round just above lambda
+        cycles = math.ceil(delay.round_trip / dt - 1e-9)
+        if delay.compensate and delay.predictor_steps < cycles:
+            raise ConfigError(
+                f"delay.compensate=true over a round trip of {cycles} control cycles needs "
+                f"delay.predictor_steps={cycles} or more, got {delay.predictor_steps}"
+            )
+        return delay
 
     def make_scenario(self):
         from . import sim as simmod

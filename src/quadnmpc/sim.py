@@ -275,16 +275,6 @@ class Butterworth2:
         return y
 
 
-def butterworth2_filter(signal: np.ndarray, cutoff_hz: float, sample_hz: float) -> np.ndarray:
-    """Filter a (K,) or (K, C) array through :class:`Butterworth2`."""
-    signal = np.asarray(signal, dtype=float)
-    flat = signal.ndim == 1
-    data = signal[:, None] if flat else signal
-    filt = Butterworth2(cutoff_hz, sample_hz, channels=data.shape[1])
-    out = np.vstack([filt.step(row) for row in data])
-    return out[:, 0] if flat else out
-
-
 @dataclass
 class NoiseConfig:
     enabled: bool = False
@@ -622,17 +612,6 @@ def write_diagnostics_csv(path, trace: SimTrace) -> None:
         w.writerow(DIAGNOSTICS_COLUMNS.split(","))
         for k, out in enumerate(trace.cycles):
             w.writerow([k] + [fmt.format(getattr(out, attr)) for _, attr, fmt in DIAGNOSTICS])
-
-
-def read_diagnostics_csv(path) -> np.ndarray:
-    """Diagnostics rows as a structured array (matching the written columns).
-
-    ``qp_status`` is a string column: ``converged``, ``max_iterations``,
-    ``numerical_error`` (a degraded cycle) or ``none`` (no QP was solved).
-    """
-    return np.atleast_1d(
-        np.genfromtxt(path, delimiter=",", names=True, dtype=None, encoding="utf-8")
-    )
 
 
 def write_reference_csv(path, source: SampledTrajectory) -> None:

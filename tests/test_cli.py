@@ -10,7 +10,13 @@ from quadnmpc.config import ConfigError, RunConfig
 from quadnmpc.dynamics import QuadrotorParams
 from quadnmpc.ocp import OcpConfig
 from quadnmpc.sim import SimConfig, gen_helix, gen_smooth_step
-from quadnmpc.sim import read_diagnostics_csv, read_reference_csv
+from quadnmpc.sim import read_reference_csv
+
+
+def read_diagnostics(out_dir):
+    return np.genfromtxt(
+        out_dir / "diagnostics.csv", delimiter=",", names=True, dtype=None, encoding="utf-8"
+    )
 
 
 class TestConfig:
@@ -73,6 +79,20 @@ class TestConfig:
         rc = RunConfig.load(overrides=["delay.lambda=2"])
         assert rc.make_delay().round_trip == pytest.approx(0.03)
 
+    def test_compensation_needs_a_predictor_step_per_cycle(self):
+        with pytest.raises(ConfigError, match=r"delay\.predictor_steps=2 "):
+            RunConfig.load(overrides=["delay.lambda=2", "delay.compensate=true"])
+        with pytest.raises(ConfigError, match=r"delay\.predictor_steps=3 "):
+            RunConfig.load(
+                overrides=["delay.tau1=0.03", "delay.tauc=0.01", "delay.compensate=true"]
+            )
+        rc = RunConfig.load(
+            overrides=["delay.lambda=2", "delay.compensate=true", "delay.predictor_steps=2"]
+        )
+        assert rc.make_delay().predictor_steps == 2
+        # uncompensated, the predictor is not used
+        RunConfig.load(overrides=["delay.lambda=2"])
+
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("[nmpc]\nN = 30\n[sim]\nscenario = zstep\nduration = 2.0\n")
@@ -115,7 +135,7 @@ class TestCli:
         assert metrics["rms_norm_m"] <= 1e-6
         trace = np.genfromtxt(tmp_path / "trace.csv", delimiter=",", names=True)
         assert len(trace) == 40
-        diag = read_diagnostics_csv(tmp_path / "diagnostics.csv")
+        diag = read_diagnostics(tmp_path)
         assert len(diag) == 40
         assert np.all(diag["qp_linalg_us"] > 0.0)
         cycle_us = diag["prep_us"] + diag["fb_us"]
@@ -140,7 +160,7 @@ class TestCli:
         )
         assert code == 0
         metrics = json.loads((tmp_path / "metrics.json").read_text())
-        diag = read_diagnostics_csv(tmp_path / "diagnostics.csv")
+        diag = read_diagnostics(tmp_path)
         unconverged = np.count_nonzero(diag["qp_status"] == "max_iterations")
         assert unconverged > 0
         assert metrics["unconverged_cycles"] == unconverged
@@ -158,7 +178,7 @@ class TestCli:
             ]
         )
         assert code == 0
-        diag = read_diagnostics_csv(tmp_path / "diagnostics.csv")
+        diag = read_diagnostics(tmp_path)
         assert len(diag) == 20
         assert set(diag["qp_status"]) == {"none"}
         assert np.all(diag["qp_iters"] == 0)

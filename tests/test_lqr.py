@@ -9,6 +9,7 @@ from quadnmpc.lqr import (
     DEFAULT_LQR_Q,
     DEFAULT_LQR_R,
     DareError,
+    _doubling_step,
     dare_residual,
     design_lqr,
     linearize_and_reduce,
@@ -74,6 +75,32 @@ class TestDare:
     def test_residual_contract(self, design):
         res = dare_residual(design.A, design.B, design.Q, design.R, design.P)
         assert res <= 1e-8 * np.abs(design.P).max()
+
+    def test_doublings_walk_the_fixed_point_iterates(self, rng):
+        # k doublings started at (A, B R^-1 B', Q) give fixed-point iterate 2^k - 1
+        n, m = 4, 2
+        A = rng.normal(size=(n, n))
+        A *= 0.95 / np.abs(np.linalg.eigvals(A)).max()
+        B = rng.normal(size=(n, m))
+        Q = np.diag(rng.uniform(0.1, 5.0, n))
+        R = np.diag(rng.uniform(0.5, 2.0, m))
+        A_k, G, H = A, B @ np.linalg.solve(R, B.T), Q
+        P, steps = Q, 0
+        for k in range(1, 5):
+            A_k, G, H = _doubling_step(A_k, G, H)
+            while steps < 2**k - 1:
+                APB = A.T @ P @ B
+                P = A.T @ P @ A - APB @ np.linalg.solve(B.T @ P @ B + R, APB.T) + Q
+                steps += 1
+            assert np.abs(H - P).max() <= 1e-12 * np.abs(P).max()
+
+    def test_default_design_matches_scipy_oracle(self, design):
+        P_ref = sla.solve_discrete_are(design.A, design.B, design.Q, design.R)
+        assert np.abs(design.P - P_ref).max() <= 1e-9 * np.abs(P_ref).max()
+
+    def test_default_design_residual_at_rounding_level(self, design):
+        res = dare_residual(design.A, design.B, design.Q, design.R, design.P)
+        assert res <= 1e-12 * np.abs(design.P).max()
 
     def test_iteration_limit_raises(self):
         A = np.eye(2) * 0.999

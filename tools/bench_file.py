@@ -16,7 +16,10 @@ checks and metrics; the span dump and the full computed-metric table of
 traced runs are left out. ``summary`` gives, per workload and
 end-to-end metric of the untraced runs, each side's median and
 quartiles and, for the first two sides, how many seeds run on both the
-second side won (by the metric's direction in BENCHMARK.json).
+second side won (by the metric's direction in BENCHMARK.json). Its
+``setup_parts`` entry splits ``setup_s`` into each side's median
+``import_s`` and median of the per-run median ``setup_reps_s``, so that a
+``setup_s`` change can be traced to the import or to the set-up.
 """
 
 from __future__ import annotations
@@ -53,15 +56,25 @@ def quartiles(values: list[float]) -> list[float]:
 
 def summarize(runs: list[dict], labels: list[str], spec: dict) -> dict:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    by = {}
+    by, setups = {}, {}
     for run in runs:
         if run["args"]["trace"]:
             continue
         key = run["args"]["workload"]
         by.setdefault(key, {}).setdefault(run["side"], {})[run["args"]["seed"]] = run["metrics"]
+        parts = setups.setdefault(key, {}).setdefault(run["side"], ([], []))
+        parts[0].append(run["import_s"])
+        parts[1].append(statistics.median(run["setup_reps_s"]))
     summary = {}
     for workload, sides in sorted(by.items()):
-        rows = {}
+        rows = {"setup_parts": {
+            label: {
+                "n": len(imports),
+                "import_s_median": statistics.median(imports),
+                "setup_reps_s_median": statistics.median(reps),
+            }
+            for label, (imports, reps) in setups[workload].items()
+        }}
         for name in better:
             row = {}
             for label in labels:
