@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig
+from .config import TRAJECTORIES, ConfigError, RunConfig
 from .rti import SqpConvergenceError
 from .sim import (
     compute_metrics,
@@ -30,7 +30,7 @@ from .sim import (
     write_reference_csv,
     write_trace_csv,
 )
-from .studies import benchmark, compare_study, condensing_study, delay_study, horizon_study
+from .studies import STUDIES, benchmark
 
 TRACE_PLOT = '''\
 """Render position / attitude / rotor-speed panels from a closed-loop trace."""
@@ -150,9 +150,7 @@ def _jsonable(obj):
     return obj
 
 
-def cmd_simulate(args) -> int:
-    rc = RunConfig.load(args.config, args.set or [])
-    out = _out_dir(args)
+def cmd_simulate(args, rc: RunConfig, out: Path) -> int:
     cfg = rc.make_sim()
     trace = run_closed_loop(cfg)
     metrics = compute_metrics(trace, cfg.ocp.u_lower, cfg.ocp.u_upper)
@@ -190,9 +188,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_benchmark(args) -> int:
-    rc = RunConfig.load(args.config, args.set or [])
-    out = _out_dir(args)
+def cmd_benchmark(args, rc: RunConfig, out: Path) -> int:
     res = benchmark(rc.make_params(), block_size=rc.get("qp", "block_size"))
     _write_rows_csv(out / "benchmark.csv", res.rows)
     (out / "plot_benchmark.py").write_text(BENCHMARK_PLOT.format(csv_name="benchmark.csv"))
@@ -216,9 +212,7 @@ def cmd_benchmark(args) -> int:
     return 0
 
 
-def cmd_trajgen(args) -> int:
-    rc = RunConfig.load(args.config, args.set or [])
-    out = _out_dir(args)
+def cmd_trajgen(args, rc: RunConfig, out: Path) -> int:
     kind = args.kind or rc.get("traj", "kind")
     try:
         source, res = rc.make_trajectory(kind)
@@ -238,20 +232,8 @@ def cmd_trajgen(args) -> int:
     return 0
 
 
-def cmd_study(args) -> int:
-    rc = RunConfig.load(args.config, args.set or [])
-    out = _out_dir(args)
-    params = rc.make_params()
-    runners = {
-        "horizon": horizon_study,
-        "delay": delay_study,
-        "compare": compare_study,
-        "condensing": condensing_study,
-    }
-    if args.name not in runners:
-        print(f"unknown study {args.name!r}; choose from {sorted(runners)}", file=sys.stderr)
-        return 2
-    res = runners[args.name](params)
+def cmd_study(args, rc: RunConfig, out: Path) -> int:
+    res = STUDIES[args.name](rc.make_params())
     csv_path = out / f"study_{res.name}.csv"
     _write_rows_csv(csv_path, res.rows)
     (out / f"plot_study_{res.name}.py").write_text(
@@ -292,12 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("trajgen", help="generate a reference trajectory CSV")
-    p.add_argument("kind", nargs="?", choices=["smooth_step", "helix"], help="trajectory kind")
+    p.add_argument("kind", nargs="?", choices=list(TRAJECTORIES), help="trajectory kind")
     common(p)
     p.set_defaults(func=cmd_trajgen)
 
     p = sub.add_parser("study", help="run a multi-configuration study")
-    p.add_argument("name", help="horizon | delay | compare | condensing")
+    p.add_argument("name", choices=list(STUDIES))
     common(p)
     p.set_defaults(func=cmd_study)
     return parser
@@ -310,7 +292,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        rc = RunConfig.load(args.config, args.set or [])
+        return args.func(args, rc, _out_dir(args))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

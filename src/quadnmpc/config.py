@@ -18,8 +18,19 @@ import numpy as np
 from .delay import DelayConfig
 from .dynamics import QuadrotorParams
 from .ocp import OcpConfig
-from .lqr import DEFAULT_LQR_Q, DEFAULT_LQR_R
-from .sim import NoiseConfig, SimConfig, VelocityFilterConfig, gen_helix, gen_smooth_step
+from .rti import SOLVERS
+from .sim import (
+    CONTROLLERS,
+    NoiseConfig,
+    SimConfig,
+    VelocityFilterConfig,
+    gen_helix,
+    gen_smooth_step,
+    hover_scenario,
+    read_reference_csv,
+    step_scenario,
+    zstep_scenario,
+)
 
 
 class ConfigError(Exception):
@@ -37,7 +48,7 @@ _DELAY = DelayConfig()
 _NOISE = NoiseConfig()
 _VEL_FILTER = VelocityFilterConfig()
 # each trajectory kind's generator, and its [traj] keys -> keyword arguments
-_TRAJ = {
+TRAJECTORIES = {
     "smooth_step": (gen_smooth_step, {"start": "start", "target": "target", "T": "T", "N": "N"}),
     "helix": (
         gen_helix,
@@ -49,7 +60,7 @@ _TRAJ = {
 def _traj_defaults() -> dict[str, object]:
     """The ``[traj]`` defaults: the generators' own keyword defaults."""
     out = {"kind": "smooth_step"}
-    for gen, keys in _TRAJ.values():
+    for gen, keys in TRAJECTORIES.values():
         signature = inspect.signature(gen).parameters
         for key, arg in keys.items():
             value = signature[arg].default
@@ -81,7 +92,6 @@ DEFAULTS: dict[str, dict[str, object]] = {
         "compensate": _DELAY.compensate,
         "predictor_steps": _DELAY.predictor_steps,
     },
-    "lqr": {"Q": _fmt_vec(DEFAULT_LQR_Q), "R": _fmt_vec(DEFAULT_LQR_R)},
     "sim": {
         # the CLI flies 1.5 s longer than SimConfig's default, on purpose
         "duration": 7.5,
@@ -178,30 +188,22 @@ class RunConfig:
         self.make_params()
         self.make_ocp()
         self.make_delay()
-        self.vector("lqr", "Q", 12)
-        self.vector("lqr", "R", 4)
-        if self.get("qp", "solver") not in ("riccati", "dense"):
-            raise ConfigError("qp.solver must be riccati or dense")
-        if self.get("sim", "controller") not in ("nmpc", "lqr"):
-            raise ConfigError("sim.controller must be nmpc or lqr")
-        known = ("hover", "step", "zstep", "smooth_step", "helix", "file")
-        if self.get("sim", "scenario") not in known:
-            raise ConfigError(f"sim.scenario must be one of {known}")
+        for section, key, known in (
+            ("qp", "solver", SOLVERS),
+            ("sim", "controller", CONTROLLERS),
+            ("sim", "scenario", SCENARIOS),
+            ("traj", "kind", TRAJECTORIES),
+        ):
+            if self.get(section, key) not in known:
+                raise ConfigError(f"{section}.{key} must be one of {', '.join(known)}")
         if self.get("sim", "scenario") == "file" and not self.get("sim", "reference_csv"):
             raise ConfigError("sim.reference_csv is required for the file scenario")
-        if self.get("traj", "kind") not in _TRAJ:
-            raise ConfigError("traj.kind must be smooth_step or helix")
 
     # ---- builders -------------------------------------------------------
 
     def make_params(self) -> QuadrotorParams:
-        m = self.values["model"]
         try:
-            return QuadrotorParams(
-                m=m["m"], g=m["g"], l=m["l"],
-                Jxx=m["Jxx"], Jyy=m["Jyy"], Jzz=m["Jzz"],
-                CT=m["CT"], CD=m["CD"],
-            )
+            return QuadrotorParams(**self.values["model"])
         except ValueError as exc:
             raise ConfigError(f"model: {exc}") from exc
 
@@ -255,21 +257,7 @@ class RunConfig:
         return delay
 
     def make_scenario(self):
-        from . import sim as simmod
-
-        params = self.make_params()
-        name = self.get("sim", "scenario")
-        if name == "hover":
-            return simmod.hover_scenario(params)
-        if name == "step":
-            return simmod.step_scenario(params)
-        if name == "zstep":
-            return simmod.zstep_scenario(params)
-        if name in _TRAJ:
-            return self.make_trajectory(name)[0]
-        if name == "file":
-            return simmod.read_reference_csv(self.get("sim", "reference_csv"))
-        raise ConfigError(f"unknown scenario {name!r}")
+        return SCENARIOS[self.get("sim", "scenario")](self)
 
     def make_trajectory(self, kind: str):
         """Generate the ``kind`` trajectory from the ``[traj]`` keys.
@@ -277,7 +265,7 @@ class RunConfig:
         Returns ``(source, sqp_result)``; the helix is not optimized, and
         its result is ``None``.
         """
-        gen, keys = _TRAJ[kind]
+        gen, keys = TRAJECTORIES[kind]
         kwargs = {
             arg: self.vector("traj", key, 3) if key in ("start", "target") else self.get("traj", key)
             for key, arg in keys.items()
@@ -314,9 +302,6 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def make_lqr_weights(self):
-        return self.vector("lqr", "Q", 12), self.vector("lqr", "R", 4)
-
     def dump(self) -> str:
         lines = []
         for section, keys in self.values.items():
@@ -325,3 +310,14 @@ class RunConfig:
                 lines.append(f"{key} = {val}")
             lines.append("")
         return "\n".join(lines)
+
+
+# each scenario's reference source, built from the configuration
+SCENARIOS = {
+    "hover": lambda rc: hover_scenario(rc.make_params()),
+    "step": lambda rc: step_scenario(rc.make_params()),
+    "zstep": lambda rc: zstep_scenario(rc.make_params()),
+    "smooth_step": lambda rc: rc.make_trajectory("smooth_step")[0],
+    "helix": lambda rc: rc.make_trajectory("helix")[0],
+    "file": lambda rc: read_reference_csv(rc.get("sim", "reference_csv"), rc.make_params()),
+}

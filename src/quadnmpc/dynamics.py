@@ -59,10 +59,6 @@ class QuadrotorParams:
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"parameter {name} must be strictly positive")
 
-    @property
-    def inertia(self) -> np.ndarray:
-        return np.array([self.Jxx, self.Jyy, self.Jzz])
-
     def hover_speed(self) -> float:
         """Rotor speed [krpm] at which four rotors balance the weight."""
         return math.sqrt(self.m * self.g / (4.0 * self.CT))

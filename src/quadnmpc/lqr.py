@@ -26,6 +26,10 @@ from .ocp import discrete_jacobians_batch
 
 REDUCED_IDX = np.array([0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12])
 
+# Weights of the reduced state and of the rotor speeds. Under these the
+# slowest closed-loop mode is yaw: eigenvalue 0.999925, almost wholly on
+# qz, a time constant of about 200 s, so the baseline does not correct a
+# yaw error within a flight. The sixth entry of Q (qz) sets it.
 DEFAULT_LQR_Q = np.array(
     [12.24e3, 10.2e3, 9e5, 0.102, 0.102, 0.102, 71.4, 102.0, 408.0, 1.02e-3, 1.02e-3, 1.02e3]
 )

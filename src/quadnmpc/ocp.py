@@ -65,10 +65,6 @@ class OcpConfig:
         if np.any(self.u_lower >= self.u_upper):
             raise ValueError("input bounds must satisfy lower < upper elementwise")
 
-    @property
-    def horizon_seconds(self) -> float:
-        return self.N * self.dt
-
 
 @dataclass
 class ReferenceWindow:

@@ -33,6 +33,10 @@ from .qp import (
 )
 
 
+# the QP pipelines a controller can run: partial condensing, or full condensing
+SOLVERS = ("riccati", "dense")
+
+
 class SqpConvergenceError(RuntimeError):
     """Run-to-convergence SQP hit its iteration limit; carries the residual history."""
 
@@ -112,7 +116,7 @@ class RtiController:
         qp_tol: float = 1e-8,
         qp_max_iters: int = 50,
     ):
-        if solver not in ("riccati", "dense"):
+        if solver not in SOLVERS:
             raise ValueError(f"unknown solver {solver!r}")
         if not 1 <= block_size <= cfg.N:
             raise ValueError("block size must lie within [1, N]")
@@ -124,7 +128,6 @@ class RtiController:
         self.X = np.zeros((cfg.N + 1, dyn.NX))
         self.U = np.zeros((cfg.N, dyn.NU))
         self.prep_us = 0.0
-        self.qp_solve_count = 0
         self._prepared: CondensedQp | None = None
         self._start: IpmStart | None = None
         self.reset()
@@ -173,7 +176,6 @@ class RtiController:
             else:
                 csol = solve_riccati_ipm(cond.qp, self.qp_tol, self.qp_max_iters, start)
             sol = expand(csol, cond)
-            self.qp_solve_count += 1
             stats = dict(
                 qp_iters=sol.iters,
                 qp_status=sol.status,

@@ -120,27 +120,22 @@ def hover_scenario(params: dyn.QuadrotorParams, p=(0.0, 0.0, 0.4)) -> PositionSo
 
 
 def step_scenario(
-    params: dyn.QuadrotorParams,
-    start=(0.0, 0.0, 0.4),
-    goal=(1.0, -1.0, 1.0),
-    ramp_span=(1.0, 5.0),
-    z_step_time=3.0,
+    params: dyn.QuadrotorParams, start=(0.0, 0.0, 0.4), goal=(1.0, -1.0, 1.0)
 ) -> PositionSource:
     """The steep-step scenario: lateral ramps to the target, a step in z.
 
-    The z channel jumps by the full height difference at ``z_step_time``
-    while x/y ramp linearly over ``ramp_span``; this exercises the
-    height axis hard (the channel both controllers fight over) while
-    keeping the lateral error inside the envelope a clamped linear
-    controller survives.
+    The z channel jumps by the full height difference at 3 s while x/y
+    ramp linearly from 1 s to 5 s; this exercises the height axis hard
+    (the channel both controllers fight over) while keeping the lateral
+    error inside the envelope a clamped linear controller survives.
     """
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
 
     def fn(t):
-        s = np.clip((t - ramp_span[0]) / (ramp_span[1] - ramp_span[0]), 0.0, 1.0)
+        s = np.clip((t - 1.0) / 4.0, 0.0, 1.0)
         p = start + s * (goal - start)
-        p[2] = goal[2] if t >= z_step_time else start[2]
+        p[2] = goal[2] if t >= 3.0 else start[2]
         return p
 
     return PositionSource(fn, params.hover_input())
@@ -168,14 +163,13 @@ def gen_smooth_step(
     start=(0.0, 0.0, 0.4),
     T: float = 6.0,
     N: int = 400,
-    maneuver_fraction: float = 0.75,
     kkt_tol: float = 1e-6,
     ocp_cfg: OcpConfig | None = None,
 ):
     """Dynamically feasible smooth step, solved to convergence offline.
 
     The trajectory optimization tracks a quintic position profile from
-    ``start`` to ``target`` over the first ``maneuver_fraction`` of the
+    ``start`` to ``target`` over the first three quarters of the
     horizon and hovers afterwards; solving it to KKT convergence yields
     state and input references that satisfy the discrete dynamics to the
     solver tolerance. Returns ``(source, sqp_result)``.
@@ -186,7 +180,7 @@ def gen_smooth_step(
     cfg = ocp_cfg or OcpConfig(N=N, dt=dt, params=params)
     if cfg.N != N or abs(cfg.dt - dt) > 1e-12:
         raise ValueError("config horizon must match the requested discretization")
-    T_man = maneuver_fraction * T
+    T_man = 0.75 * T
     delta = target - start
     rows = np.zeros((N + 1, STAGE_REF_DIM))
     for j in range(N + 1):
@@ -294,6 +288,10 @@ class VelocityFilterConfig:
 # ---------------------------------------------------------------------------
 
 
+# the controllers a closed-loop flight can run
+CONTROLLERS = ("nmpc", "lqr")
+
+
 @dataclass
 class SimConfig:
     scenario: object  # a reference source (PositionSource / SampledTrajectory)
@@ -316,7 +314,7 @@ class SimConfig:
         n_sub = self.ocp.dt / self.micro_step
         if abs(n_sub - round(n_sub)) > 1e-9 or round(n_sub) < 1:
             raise ValueError("micro step must divide the sampling time")
-        if self.controller not in ("nmpc", "lqr"):
+        if self.controller not in CONTROLLERS:
             raise ValueError(f"unknown controller {self.controller!r}")
 
 
@@ -493,19 +491,14 @@ class Metrics:
     def rms_norm(self) -> float:
         return float(np.sqrt(np.sum(self.rms**2)))
 
-    @property
-    def settled(self) -> bool:
-        return math.isfinite(self.settling_s)
 
-
-def compute_metrics(
-    trace: SimTrace, u_lower=None, u_upper=None, band: float = 0.02
-) -> Metrics:
+def compute_metrics(trace: SimTrace, u_lower=None, u_upper=None) -> Metrics:
     """Per-axis tracking metrics over the phase after the first reference change.
 
     Overshoot and settling are measured per axis from that axis's own
     last reference change (scenario events may be staggered), relative
-    to the axis's total reference excursion; the reported settling time
+    to the axis's total reference excursion; an axis has settled once it
+    stays within 2 % of that excursion, and the reported settling time
     is the worst stepped axis. A truncated (diverged) trace reports
     infinite RMS and overshoot on the stepped axes.
     """
@@ -533,7 +526,7 @@ def compute_metrics(
         beyond = (seg - ref[-1, ax]) * np.sign(delta[ax])
         overshoot[ax] = max(0.0, float(beyond.max())) / abs(delta[ax]) * 100.0
         # first index after which the axis stays inside the band
-        ok = np.abs(seg - ref[-1, ax]) <= band * abs(delta[ax])
+        ok = np.abs(seg - ref[-1, ax]) <= 0.02 * abs(delta[ax])
         idx = len(ok)
         while idx > 0 and ok[idx - 1]:
             idx -= 1
@@ -622,8 +615,8 @@ def write_reference_csv(path, source: SampledTrajectory) -> None:
             w.writerow([f"{t:.6f}"] + [f"{v:.12g}" for v in row])
 
 
-def read_reference_csv(path) -> SampledTrajectory:
-    """Read a reference file; position-only files get hover attitude/inputs."""
+def read_reference_csv(path, params: dyn.QuadrotorParams) -> SampledTrajectory:
+    """Read a reference file; position-only rows get level attitude and ``params``' hover input."""
     data = np.atleast_2d(np.genfromtxt(path, delimiter=",", skip_header=1))
     if data.shape[1] == 1 + STAGE_REF_DIM:
         return SampledTrajectory(data[:, 0], data[:, 1:])
@@ -631,6 +624,6 @@ def read_reference_csv(path) -> SampledTrajectory:
         rows = np.zeros((data.shape[0], STAGE_REF_DIM))
         rows[:, :3] = data[:, 1:4]
         rows[:, 3] = 1.0
-        rows[:, dyn.NX :] = dyn.QuadrotorParams().hover_input()
+        rows[:, dyn.NX :] = params.hover_input()
         return SampledTrajectory(data[:, 0], rows)
     raise ValueError(f"reference file must have 4 or {1 + STAGE_REF_DIM} columns")

@@ -29,8 +29,9 @@ from . import dynamics as dyn
 from .delay import DelayConfig
 from .ocp import OcpConfig
 from .qp import expand, partial_condense, solve_riccati_ipm
-from .rti import RtiController
+from .rti import SOLVERS, RtiController
 from .sim import (
+    CONTROLLERS,
     SimConfig,
     compute_metrics,
     run_closed_loop,
@@ -58,38 +59,29 @@ def _non_increasing(values, rtol=1e-9) -> bool:
     return all(seq[i + 1] <= seq[i] * (1 + rtol) + 1e-15 for i in range(len(seq) - 1))
 
 
-def _non_decreasing(values, rtol=1e-9) -> bool:
-    return _non_increasing(list(reversed(values)), rtol)
+def _fly(params: dyn.QuadrotorParams, scenario, N: int, duration: float, **sim_kwargs):
+    """Fly ``scenario`` under an ``N``-stage horizon; return the trace and its metrics."""
+    cfg = SimConfig(
+        scenario=scenario, ocp=OcpConfig(N=N, params=params), duration=duration, **sim_kwargs
+    )
+    trace = run_closed_loop(cfg)
+    return trace, compute_metrics(trace, cfg.ocp.u_lower, cfg.ocp.u_upper)
 
 
-def horizon_study(
-    params: dyn.QuadrotorParams,
-    horizons=(10, 20, 30, 40, 50),
-    rtt_cycles: int = NOMINAL_RTT_CYCLES,
-    duration: float = 4.5,
-    seed: int = 0,
-) -> StudyResult:
-    """Step-scenario tracking RMS across horizon lengths.
+def horizon_study(params: dyn.QuadrotorParams) -> StudyResult:
+    """Step-scenario tracking RMS across horizon lengths 10 to 50.
 
-    Runs the vertical step response with the nominal round trip
-    uncompensated; short horizons lose the step response entirely
+    Runs the vertical step response for 4.5 s with the nominal round
+    trip uncompensated; short horizons lose the step response entirely
     (recorded as infinite RMS from the truncated trace), long ones damp
     it progressively better.
     """
     res = StudyResult(name="horizon")
-    rms = []
-    for N in horizons:
-        cfg = SimConfig(
-            scenario=zstep_scenario(params),
-            ocp=OcpConfig(N=N, params=params),
-            duration=duration,
-            block_size=min(5, N),
-            delay=DelayConfig.from_cycle_multiple(rtt_cycles, 0.015),
-            seed=seed,
+    delay = DelayConfig.from_cycle_multiple(NOMINAL_RTT_CYCLES, OcpConfig.dt)
+    for N in (10, 20, 30, 40, 50):
+        trace, m = _fly(
+            params, zstep_scenario(params), N, 4.5, block_size=min(5, N), delay=delay
         )
-        trace = run_closed_loop(cfg)
-        m = compute_metrics(trace, cfg.ocp.u_lower, cfg.ocp.u_upper)
-        rms.append(m.rms_norm)
         res.rows.append(
             {
                 "N": N,
@@ -100,74 +92,44 @@ def horizon_study(
             }
         )
         res.traces[N] = trace
-    res.verdicts["rms_non_increasing_in_horizon"] = _non_increasing(rms)
+    res.verdicts["rms_non_increasing_in_horizon"] = _non_increasing(
+        [row["rms_m"] for row in res.rows]
+    )
     return res
 
 
-def delay_study(
-    params: dyn.QuadrotorParams,
-    lams=(0, 1, 2, 4),
-    N: int = 50,
-    duration: float = 4.5,
-    amplitude: float = 0.2,
-    predictor_steps: int | None = None,
-    seed: int = 0,
-) -> StudyResult:
+def delay_study(params: dyn.QuadrotorParams) -> StudyResult:
     """Step-response overshoot versus round-trip time, with and without the predictor.
 
-    Below the instability threshold the overshoot differences sit at the
-    measurement floor (a few tenths of a percent), so the monotonicity
-    verdict allows half a percentage point of slack; past the threshold
-    the overshoot explodes by two orders of magnitude. The compensated
-    run uses one predictor substep per control cycle so the replayed
-    input sequence aligns with the command switching times.
+    Flies a 0.2 m vertical step for 4.5 s at N = 50, uncompensated over
+    round trips of 0, 1, 2 and 4 cycles, then compensated over the
+    longest. Below the instability threshold the overshoot differences
+    sit at the measurement floor (a few tenths of a percent), so the
+    monotonicity verdict allows half a percentage point of slack; past
+    the threshold the overshoot explodes by two orders of magnitude.
+    The compensated run uses one predictor substep per control cycle so
+    the replayed input sequence aligns with the command switching times.
     """
     res = StudyResult(name="delay")
-
-    def run(lam, compensate):
-        steps = predictor_steps if predictor_steps is not None else max(1, lam)
-        cfg = SimConfig(
-            scenario=zstep_scenario(params, amplitude=amplitude),
-            ocp=OcpConfig(N=N, params=params),
-            duration=duration,
-            delay=DelayConfig.from_cycle_multiple(
-                lam, 0.015, compensate=compensate, predictor_steps=steps
-            ),
-            seed=seed,
+    lams = (0, 1, 2, 4)
+    for lam, compensate in [(lam, False) for lam in lams] + [(lams[-1], True)]:
+        delay = DelayConfig.from_cycle_multiple(
+            lam, OcpConfig.dt, compensate=compensate, predictor_steps=max(1, lam)
         )
-        trace = run_closed_loop(cfg)
-        return trace, compute_metrics(trace, cfg.ocp.u_lower, cfg.ocp.u_upper)
-
-    overshoots = []
-    for lam in lams:
-        trace, m = run(lam, compensate=False)
-        overshoots.append(m.overshoot_pct[2])
+        trace, m = _fly(params, zstep_scenario(params, amplitude=0.2), 50, 4.5, delay=delay)
         res.rows.append(
             {
                 "lambda": lam,
-                "compensated": False,
+                "compensated": compensate,
                 "z_overshoot_pct": m.overshoot_pct[2],
                 "settling_s": m.settling_s,
                 "diverged": m.diverged,
             }
         )
-        res.traces[(lam, False)] = trace
+        res.traces[(lam, compensate)] = trace
 
-    lam_max = max(lams)
-    trace_c, m_c = run(lam_max, compensate=True)
-    res.rows.append(
-        {
-            "lambda": lam_max,
-            "compensated": True,
-            "z_overshoot_pct": m_c.overshoot_pct[2],
-            "settling_s": m_c.settling_s,
-            "diverged": m_c.diverged,
-        }
-    )
-    res.traces[(lam_max, True)] = trace_c
-
-    base = overshoots[lams.index(0)] if 0 in lams else overshoots[0]
-    comp = m_c.overshoot_pct[2]
+    overshoots = [row["z_overshoot_pct"] for row in res.rows[:-1]]
+    base, comp = overshoots[0], res.rows[-1]["z_overshoot_pct"]
     # sub-threshold overshoots live at the measurement floor; allow 0.5 pp
     slack = 0.5
     res.verdicts["overshoot_non_decreasing_in_rtt"] = all(
@@ -178,25 +140,12 @@ def delay_study(
     return res
 
 
-def compare_study(
-    params: dyn.QuadrotorParams,
-    N: int = 50,
-    duration: float = 7.5,
-    seed: int = 0,
-) -> StudyResult:
-    """Receding-horizon controller versus the clamped LQR on the steep-step scenario."""
+def compare_study(params: dyn.QuadrotorParams) -> StudyResult:
+    """Receding-horizon controller (N = 50) versus the clamped LQR on a 7.5 s steep step."""
     res = StudyResult(name="compare")
     metrics = {}
-    for kind in ("nmpc", "lqr"):
-        cfg = SimConfig(
-            scenario=step_scenario(params),
-            ocp=OcpConfig(N=N, params=params),
-            duration=duration,
-            controller=kind,
-            seed=seed,
-        )
-        trace = run_closed_loop(cfg)
-        m = compute_metrics(trace, cfg.ocp.u_lower, cfg.ocp.u_upper)
+    for kind in CONTROLLERS:
+        trace, m = _fly(params, step_scenario(params), 50, 7.5, controller=kind)
         metrics[kind] = m
         res.rows.append(
             {
@@ -241,7 +190,6 @@ def condensing_study(
     params: dyn.QuadrotorParams,
     block_sizes=(1, 2, 5, 10, 25, 50),
     N: int = 50,
-    tol: float = 1e-8,
 ) -> StudyResult:
     """Solution invariance and solve time across condensing block sizes."""
     res = StudyResult(name="condensing")
@@ -252,7 +200,7 @@ def condensing_study(
         t0 = time.perf_counter_ns()
         cond = partial_condense(qp, M)
         t1 = time.perf_counter_ns()
-        sol = expand(solve_riccati_ipm(cond.qp, tol=tol), cond)
+        sol = expand(solve_riccati_ipm(cond.qp, tol=1e-8), cond)
         t2 = time.perf_counter_ns()
         U = np.concatenate(sol.u)
         if reference is None:
@@ -282,7 +230,6 @@ def benchmark(
     cycles: int = 100,
     warmup: int = 10,
     block_size: int = 5,
-    seed: int = 0,
 ) -> StudyResult:
     """Per-cycle timings of both QP pipelines across horizon lengths.
 
@@ -295,18 +242,17 @@ def benchmark(
     problem sizes, and are reported alongside.
     """
     res = StudyResult(name="benchmark")
-    per_iter = {"riccati": [], "dense": []}
+    per_iter = {solver: [] for solver in SOLVERS}
     totals = []
     for N in horizons:
-        for solver in ("riccati", "dense"):
+        for solver in SOLVERS:
             M = min(block_size, N) if solver == "riccati" else N
             cfg = SimConfig(
                 scenario=zstep_scenario(params),
                 ocp=OcpConfig(N=N, params=params),
-                duration=(warmup + cycles) * 0.015,
+                duration=(warmup + cycles) * OcpConfig.dt,
                 solver=solver,
                 block_size=M,
-                seed=seed,
             )
             trace = run_closed_loop(cfg)
             if trace.failure is not None or len(trace) < warmup + cycles:
@@ -359,3 +305,12 @@ def benchmark(
         ratios[-1] > ratios[0] and ratio_slope > 0
     )
     return res
+
+
+# the studies the command line runs, by name
+STUDIES = {
+    "horizon": horizon_study,
+    "delay": delay_study,
+    "compare": compare_study,
+    "condensing": condensing_study,
+}

@@ -335,7 +335,7 @@ def ode_vector_form(xi, u, params):
         [[ct, ct, ct, ct], [-ctl, -ctl, ctl, ctl], [-ctl, ctl, ctl, -ctl], [-cd, cd, -cd, cd]]
     )
     thrust, *moment = mix @ (u * u)
-    J = params.inertia
+    J = np.array([params.Jxx, params.Jyy, params.Jzz])
     e3 = np.array([0.0, 0.0, 1.0])
     return np.concatenate(
         [

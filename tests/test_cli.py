@@ -5,12 +5,20 @@ import json
 import numpy as np
 import pytest
 
+import quadnmpc.config as config_mod
 from quadnmpc.cli import main
-from quadnmpc.config import ConfigError, RunConfig
+from quadnmpc.config import DEFAULTS, ConfigError, RunConfig
 from quadnmpc.dynamics import QuadrotorParams
+from quadnmpc.lqr import DEFAULT_LQR_Q, DEFAULT_LQR_R
 from quadnmpc.ocp import OcpConfig
-from quadnmpc.sim import SimConfig, gen_helix, gen_smooth_step
-from quadnmpc.sim import read_reference_csv
+from quadnmpc.sim import (
+    PositionSource,
+    SampledTrajectory,
+    SimConfig,
+    gen_helix,
+    gen_smooth_step,
+    read_reference_csv,
+)
 
 
 def read_diagnostics(out_dir):
@@ -24,7 +32,8 @@ class TestConfig:
         rc = RunConfig.load()
         assert rc.get("nmpc", "N") == 50
         assert rc.make_params().m == 0.033
-        assert rc.make_ocp().horizon_seconds == pytest.approx(0.75)
+        ocp = rc.make_ocp()
+        assert ocp.N * ocp.dt == pytest.approx(0.75)
 
     def test_defaults_are_the_dataclass_defaults(self):
         rc = RunConfig()
@@ -106,14 +115,120 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig.load(path)
 
+    def test_position_only_reference_hovers_at_the_configured_mass(self, tmp_path):
+        path = tmp_path / "positions.csv"
+        path.write_text("t,x,y,z\n0.0,0.0,0.0,0.4\n0.015,0.0,0.0,0.5\n")
+        rc = RunConfig.load(
+            overrides=["model.m=0.04", "sim.scenario=file", f"sim.reference_csv={path}"]
+        )
+        hover = QuadrotorParams(m=0.04).hover_input()
+        assert hover[0] == pytest.approx(17.4, abs=0.05)
+        np.testing.assert_array_equal(rc.make_scenario().rows[:, 13:], np.tile(hover, (2, 1)))
+
     def test_weight_vectors(self):
         rc = RunConfig.load()
         W = rc.vector("nmpc", "W", 17)
         assert W[0] == 120.0
         assert W[13] == pytest.approx(6e-2)
-        Q, R = rc.make_lqr_weights()
-        assert Q[2] == pytest.approx(9e5)
-        assert np.all(R == 0.12)
+        assert DEFAULT_LQR_Q[2] == pytest.approx(9e5)
+        assert np.all(DEFAULT_LQR_R == 0.12)
+
+
+def scaled(section, key, factor):
+    """The override setting the vector ``section.key`` to its default times ``factor``."""
+    values = [float(v) * factor for v in str(DEFAULTS[section][key]).split(",")]
+    return f"{section}.{key}=" + ",".join(repr(v) for v in values)
+
+
+def same_build(a, b) -> bool:
+    """Whether two builds hold the same values; reference sources compare by their rows."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (PositionSource, SampledTrajectory)):
+        times = np.arange(0.0, 10.0, 0.05)
+        return np.array_equal([a.row(t) for t in times], [b.row(t) for t in times])
+    if dataclasses.is_dataclass(a):
+        return all(
+            same_build(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(same_build, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_build(a[k], b[k]) for k in a)
+    return a == b
+
+
+class TestEveryKeyIsRead:
+    @pytest.fixture
+    def generator_calls(self, monkeypatch):
+        """Stub the trajectory generators: record their arguments, run no SQP."""
+        calls = []
+        for kind, (_, keys) in list(config_mod.TRAJECTORIES.items()):
+            source = SampledTrajectory(np.zeros(1), np.zeros((1, 17)))
+            result = source if kind == "helix" else (source, None)
+
+            def gen(params, _kind=kind, _result=result, **kwargs):
+                calls.append((_kind, params, kwargs))
+                return _result
+
+            monkeypatch.setitem(config_mod.TRAJECTORIES, kind, (gen, keys))
+        return calls
+
+    def test_every_key_changes_what_its_command_builds(self, tmp_path, generator_calls):
+        def build(overrides):
+            rc = RunConfig.load(overrides=overrides)
+            generator_calls.clear()
+            sim = rc.make_sim()  # simulate
+            rc.make_trajectory(rc.get("traj", "kind"))  # trajgen without a kind
+            return sim, list(generator_calls)
+
+        low, high = tmp_path / "low.csv", tmp_path / "high.csv"
+        low.write_text("t,x,y,z\n0.0,0.0,0.0,0.4\n")
+        high.write_text("t,x,y,z\n0.0,0.0,0.0,0.5\n")
+        helix = ["traj.kind=helix"]
+        noisy = ["sim.noise=true"]
+        # the overrides under which a key is read
+        context = {
+            ("delay", "compensate"): ["delay.lambda=1"],
+            ("delay", "predictor_steps"): ["delay.lambda=1", "delay.compensate=true"],
+            ("sim", "reference_csv"): ["sim.scenario=file", f"sim.reference_csv={low}"],
+            ("sim", "seed"): noisy,
+            ("sim", "noise_pos"): noisy,
+            ("sim", "noise_att_deg"): noisy,
+            ("sim", "noise_gyro"): noisy,
+            ("sim", "vel_filter_cutoff"): ["sim.vel_filter=true"],
+            **{("traj", key): helix for key in ("r", "h0", "dh", "tf", "m", "omega")},
+        }
+        # valid non-default values where changing the default by rule gives none
+        special = {
+            ("nmpc", "dt"): "0.02",
+            ("qp", "solver"): "dense",
+            ("delay", "lambda"): "2",
+            ("sim", "micro_step"): "5e-4",
+            ("sim", "controller"): "lqr",
+            ("sim", "scenario"): "hover",
+            ("sim", "reference_csv"): str(high),
+            ("traj", "kind"): "helix",
+        }
+        dead = []
+        for section, keys in DEFAULTS.items():
+            for key, default in keys.items():
+                base = context.get((section, key), [])
+                if (section, key) in special:
+                    change = f"{section}.{key}={special[section, key]}"
+                elif isinstance(default, bool):
+                    change = f"{section}.{key}={not default}"
+                elif isinstance(default, int):
+                    change = f"{section}.{key}={default + 1}"
+                elif isinstance(default, float):
+                    change = f"{section}.{key}={default * 1.25 if default else 1e-3}"
+                else:
+                    change = scaled(section, key, 1.25)
+                if same_build(build(base), build(base + [change])):
+                    dead.append(change)
+        assert dead == []
 
 
 class TestCli:
@@ -199,7 +314,7 @@ class TestCli:
     def test_trajgen_helix_paper_defaults(self, tmp_path):
         code = main(["trajgen", "helix", "--out", str(tmp_path)])
         assert code == 0
-        src = read_reference_csv(tmp_path / "helix.csv")
+        src = read_reference_csv(tmp_path / "helix.csv", QuadrotorParams())
         assert len(src.rows) == 1001
         np.testing.assert_allclose(src.rows[0, :3], [0.3, 0.0, 0.38], atol=1e-9)
 

@@ -144,7 +144,7 @@ class TestOde:
         # reference: the velocity and rate rows written with np.cross
         XI = np.array([random_state(rng, vel_scale=3.0, rate_scale=10.0) for _ in range(64)])
         U = rng.uniform(0, 22, (64, 4))
-        J = params.inertia
+        J = np.array([params.Jxx, params.Jyy, params.Jzz])
         batch = ode_rhs_batch(XI, U, params)
         for i in range(64):
             v, w = XI[i, 7:10], XI[i, 10:13]
@@ -187,7 +187,7 @@ class TestOde:
         # 1 s of 1 ms plant micro-steps, each ERK4 plus renormalization as in
         # the simulator, against the ODE written with rotation matrices and np.cross
         params = ASYMMETRIC
-        J = params.inertia
+        J = np.array([params.Jxx, params.Jyy, params.Jzz])
 
         def reference(xi, u):
             R = quat_to_rotmat(xi[3:7])

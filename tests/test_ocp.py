@@ -41,7 +41,7 @@ class TestConfig:
     def test_defaults(self, cfg):
         assert cfg.N == 50
         assert cfg.dt == 0.015
-        assert cfg.horizon_seconds == pytest.approx(0.75)
+        assert cfg.N * cfg.dt == pytest.approx(0.75)
         np.testing.assert_allclose(cfg.W_N, 50.0 * cfg.W[:13])
 
     def test_validation(self, params):

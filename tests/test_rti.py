@@ -34,6 +34,19 @@ def minjerk_window(cfg, start, goal, T_man):
     return ReferenceWindow(stages=rows[: cfg.N], terminal=rows[cfg.N, :13])
 
 
+def count_solves(monkeypatch) -> list:
+    """Record each QP solution the controller expands: one per solved QP."""
+    solves = []
+    expand = rti_mod.expand
+
+    def counting_expand(csol, cond):
+        solves.append(csol)
+        return expand(csol, cond)
+
+    monkeypatch.setattr(rti_mod, "expand", counting_expand)
+    return solves
+
+
 class TestRtiController:
     def test_hover_fixed_point(self, cfg):
         ctrl = RtiController(cfg)
@@ -45,12 +58,13 @@ class TestRtiController:
         assert not out.degraded
         assert out.qp_status == "converged"
 
-    def test_one_qp_solve_per_cycle(self, cfg):
+    def test_one_qp_solve_per_cycle(self, cfg, monkeypatch):
+        solves = count_solves(monkeypatch)
         ctrl = RtiController(cfg)
         refs = hover_reference_window(cfg)
         for k in range(5):
             ctrl.cycle(dyn.hover_state(), refs)
-            assert ctrl.qp_solve_count == k + 1
+            assert len(solves) == k + 1
 
     def test_feedback_requires_prepare(self, cfg):
         ctrl = RtiController(cfg)
@@ -158,7 +172,8 @@ class TestRtiController:
 
     @pytest.mark.parametrize("solver", ["riccati", "dense"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_estimate_degrades_the_cycle(self, cfg, solver, bad):
+    def test_non_finite_estimate_degrades_the_cycle(self, cfg, solver, bad, monkeypatch):
+        solves = count_solves(monkeypatch)
         ctrl = RtiController(cfg, solver=solver)
         refs = hover_reference_window(cfg, p=(0.2, 0.0, 0.1))
         ctrl.cycle(dyn.hover_state(), refs)
@@ -169,7 +184,7 @@ class TestRtiController:
         out = ctrl.cycle(xhat, refs)
         assert out.degraded
         assert out.qp_status == "numerical_error"
-        assert ctrl.qp_solve_count == 1
+        assert len(solves) == 1
         assert np.all(np.isfinite(out.u0))
         assert np.all(out.u0 >= cfg.u_lower) and np.all(out.u0 <= cfg.u_upper)
         np.testing.assert_array_equal(out.u0, expected)

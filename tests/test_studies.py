@@ -5,7 +5,6 @@ import quadnmpc.cli as cli_mod
 from quadnmpc.cli import main
 from quadnmpc.studies import (
     StudyResult,
-    _non_decreasing,
     _non_increasing,
     _reference_qp,
     benchmark,
@@ -19,10 +18,6 @@ class TestTrendHelpers:
         assert _non_increasing([3.0, 3.0, 3.0])
         assert not _non_increasing([1.0, 2.0])
         assert not _non_increasing([np.inf, 1.0, 2.0])
-
-    def test_non_decreasing(self):
-        assert _non_decreasing([1.0, 1.0, 2.0, np.inf])
-        assert not _non_decreasing([2.0, 1.0])
 
 
 class TestReferenceQp:
