@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import TRAJECTORIES, ConfigError, RunConfig
+from .config import DEFAULTS, TRAJECTORIES, ConfigError, RunConfig
 from .rti import SqpConvergenceError
 from .sim import (
     compute_metrics,
@@ -116,6 +116,23 @@ print("wrote", path.replace(".csv", ".png"))
 '''
 
 
+# the commands that read only [model] and the keys listed; setting any other key is an error
+MODEL_ONLY_COMMANDS = {"study": (), "benchmark": ("qp.block_size",)}
+
+
+def _reject_unread_settings(command: str, rc: RunConfig) -> None:
+    reads = MODEL_ONLY_COMMANDS[command]
+    unread = [
+        f"{section}.{key}"
+        for section, keys in rc.values.items() if section != "model"
+        for key, value in keys.items()
+        if value != DEFAULTS[section][key] and f"{section}.{key}" not in reads
+    ]
+    if unread:
+        also = "".join(f" and {key}" for key in reads)
+        raise ConfigError(f"{command} reads only [model]{also}, not {', '.join(unread)}")
+
+
 def _out_dir(args) -> Path:
     root = args.out or os.environ.get("QUADNMPC_OUT") or "quadnmpc_out"
     path = Path(root)
@@ -194,15 +211,15 @@ def cmd_benchmark(args, rc: RunConfig, out: Path) -> int:
     (out / "plot_benchmark.py").write_text(BENCHMARK_PLOT.format(csv_name="benchmark.csv"))
 
     lines = ["N  solver   mean_cycle_us  max_cycle_us  per_iter_us"]
-    for row in res.traces["aggregate"]:
+    for row in res.scaling["aggregate"]:
         lines.append(
             f"{row['N']:<3d}{row['solver']:<9s}{row['mean_cycle_us']:>13.1f}"
             f"{row['max_cycle_us']:>14.1f}{row['per_iter_us']:>14.1f}"
         )
-    lines.append(f"fit exponents: {res.traces['fit_exponents']}")
+    lines.append(f"fit exponents: {res.scaling['fit_exponents']}")
     lines.append(
         "dense/riccati per-iteration ratio: "
-        + ", ".join(f"{v:.3f}" for v in res.traces["dense_over_riccati_ratio"])
+        + ", ".join(f"{v:.3f}" for v in res.scaling["dense_over_riccati_ratio"])
     )
     for name, ok in res.verdicts.items():
         lines.append(f"verdict {name}: {'PASS' if ok else 'FAIL'}")
@@ -293,6 +310,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         rc = RunConfig.load(args.config, args.set or [])
+        if args.command in MODEL_ONLY_COMMANDS:
+            _reject_unread_settings(args.command, rc)
         return args.func(args, rc, _out_dir(args))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

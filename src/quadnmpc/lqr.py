@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics as dyn
-from .ocp import discrete_jacobians_batch
+from .ocp import U_MAX, U_MIN, OcpConfig, discrete_jacobians_batch
 
 REDUCED_IDX = np.array([0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12])
 
@@ -69,13 +69,6 @@ def linearize_and_reduce(
     if np.linalg.matrix_rank(ctrb) != n:
         raise ValueError("reduced hover model is not controllable")
     return A, B
-
-
-def dare_residual(A, B, Q, R, P) -> float:
-    """Infinity norm of the Riccati equation defect at ``P``."""
-    APB = A.T @ P @ B
-    res = A.T @ P @ A - P - APB @ np.linalg.solve(B.T @ P @ B + R, APB.T) + Q
-    return float(np.abs(res).max())
 
 
 def _doubling_step(A_k, G, H):
@@ -147,11 +140,11 @@ class LqrDesign:
 
 def design_lqr(
     params: dyn.QuadrotorParams,
-    tau_s: float = 0.015,
+    tau_s: float = OcpConfig.dt,
     Q_diag=DEFAULT_LQR_Q,
     R_diag=DEFAULT_LQR_R,
-    u_lower=None,
-    u_upper=None,
+    u_lower=U_MIN,
+    u_upper=U_MAX,
 ) -> LqrDesign:
     """Linearize at hover, solve the Riccati equation, and form the gain."""
     Q_diag = np.asarray(Q_diag, dtype=float)
@@ -174,8 +167,8 @@ def design_lqr(
         K=K,
         xbar=dyn.hover_state(),
         ubar=params.hover_input(),
-        u_lower=np.zeros(4) if u_lower is None else np.asarray(u_lower, dtype=float),
-        u_upper=np.full(4, 22.0) if u_upper is None else np.asarray(u_upper, dtype=float),
+        u_lower=np.full(4, u_lower, dtype=float),
+        u_upper=np.full(4, u_upper, dtype=float),
     )
     if design.closed_loop_radius >= 1.0:
         raise ValueError("LQR design is not stabilizing")

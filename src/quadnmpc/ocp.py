@@ -23,6 +23,8 @@ DEFAULT_STATE_WEIGHT = np.array(
 )
 DEFAULT_INPUT_WEIGHT = np.full(4, 6e-2)
 TERMINAL_WEIGHT_FACTOR = 50.0
+# rotor-speed bounds [krpm]
+U_MIN, U_MAX = 0.0, 22.0
 
 STAGE_REF_DIM = dyn.NX + dyn.NU
 
@@ -43,8 +45,8 @@ class OcpConfig:
     dt: float = 0.015
     W: np.ndarray = field(default_factory=_default_stage_weight)
     W_N: np.ndarray = field(default_factory=_default_terminal_weight)
-    u_lower: np.ndarray = field(default_factory=lambda: np.zeros(4))
-    u_upper: np.ndarray = field(default_factory=lambda: np.full(4, 22.0))
+    u_lower: np.ndarray = field(default_factory=lambda: np.full(4, U_MIN))
+    u_upper: np.ndarray = field(default_factory=lambda: np.full(4, U_MAX))
     params: dyn.QuadrotorParams = field(default_factory=dyn.QuadrotorParams)
 
     def __post_init__(self):
@@ -78,14 +80,6 @@ class ReferenceWindow:
         self.terminal = np.asarray(self.terminal, dtype=float)
         if self.stages.shape[1] != STAGE_REF_DIM or self.terminal.shape != (dyn.NX,):
             raise ValueError("reference window has wrong row dimensions")
-
-
-def hover_reference_window(cfg: OcpConfig, p=(0.0, 0.0, 0.0)) -> ReferenceWindow:
-    """Constant window regulating to a hover point with hover input."""
-    row = np.concatenate([dyn.hover_state(p), cfg.params.hover_input()])
-    return ReferenceWindow(
-        stages=np.tile(row, (cfg.N, 1)), terminal=row[: dyn.NX].copy()
-    )
 
 
 # ---------------------------------------------------------------------------

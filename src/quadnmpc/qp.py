@@ -43,6 +43,10 @@ class QpNumericalError(RuntimeError):
     """A factorization inside the solver failed beyond recoverable regularization."""
 
 
+# the interior point's default stopping tolerance and iteration limit
+QP_TOL = 1e-8
+QP_MAX_ITERS = 50
+
 # single Levenberg-style retry before declaring numerical failure
 _REGULARIZATION = 1e-10
 _FRACTION_TO_BOUNDARY = 0.995
@@ -549,7 +553,7 @@ def prepare_riccati_ipm(qp: OcpQp) -> IpmStart:
 
 
 def solve_riccati_ipm(
-    qp: OcpQp, tol: float = 1e-8, max_iters: int = 50, start: IpmStart | None = None
+    qp: OcpQp, tol: float = QP_TOL, max_iters: int = QP_MAX_ITERS, start: IpmStart | None = None
 ) -> QpSolution:
     """Solve the banded QP by a Mehrotra predictor-corrector interior point.
 
@@ -573,7 +577,7 @@ def solve_riccati_ipm(
 
 
 def solve_condensed_dense(
-    cqp: OcpQp, tol: float = 1e-8, max_iters: int = 50, start: IpmStart | None = None
+    cqp: OcpQp, tol: float = QP_TOL, max_iters: int = QP_MAX_ITERS, start: IpmStart | None = None
 ) -> QpSolution:
     """Solve a fully condensed QP (one stage plus the terminal state).
 
@@ -684,7 +688,7 @@ def _ipm(qp: OcpQp, tol: float, max_iters: int, start: IpmStart | None) -> QpSol
     )
 
 
-def solve_dense_ipm(qp: OcpQp, tol: float = 1e-8, max_iters: int = 50) -> QpSolution:
+def solve_dense_ipm(qp: OcpQp, tol: float = QP_TOL, max_iters: int = QP_MAX_ITERS) -> QpSolution:
     """Condense the full horizon, solve the one-stage QP, and expand back.
 
     The dense pipeline: all state deviations are eliminated, the

@@ -20,6 +20,8 @@ import numpy as np
 from . import dynamics as dyn
 from .ocp import OcpConfig, ReferenceWindow, build_qp, discrete_dynamics_batch
 from .qp import (
+    QP_MAX_ITERS,
+    QP_TOL,
     CondensedQp,
     IpmStart,
     QpNumericalError,
@@ -35,6 +37,10 @@ from .qp import (
 
 # the QP pipelines a controller can run: partial condensing, or full condensing
 SOLVERS = ("riccati", "dense")
+DEFAULT_SOLVER = "riccati"
+DEFAULT_BLOCK_SIZE = 5
+# the KKT tolerance of a solve to convergence
+SQP_KKT_TOL = 1e-6
 
 
 class SqpConvergenceError(RuntimeError):
@@ -47,7 +53,7 @@ class SqpConvergenceError(RuntimeError):
 
 @dataclass
 class ControlOutput:
-    """One control cycle's record: applied input, predicted horizon, diagnostics.
+    """One control cycle's record: the applied input and the cycle's diagnostics.
 
     The defaults are those of a cycle that solves no QP (the LQR
     controller). ``qp_status`` is the QP solver's status (``converged``
@@ -58,8 +64,6 @@ class ControlOutput:
     """
 
     u0: np.ndarray
-    X_pred: np.ndarray | None = None
-    U_pred: np.ndarray | None = None
     prep_us: float = 0.0
     fb_us: float = 0.0
     qp_iters: int = 0
@@ -111,10 +115,10 @@ class RtiController:
     def __init__(
         self,
         cfg: OcpConfig,
-        solver: str = "riccati",
-        block_size: int = 5,
-        qp_tol: float = 1e-8,
-        qp_max_iters: int = 50,
+        solver: str = DEFAULT_SOLVER,
+        block_size: int = DEFAULT_BLOCK_SIZE,
+        qp_tol: float = QP_TOL,
+        qp_max_iters: int = QP_MAX_ITERS,
     ):
         if solver not in SOLVERS:
             raise ValueError(f"unknown solver {solver!r}")
@@ -128,16 +132,14 @@ class RtiController:
         self.X = np.zeros((cfg.N + 1, dyn.NX))
         self.U = np.zeros((cfg.N, dyn.NU))
         self.prep_us = 0.0
-        self._prepared: CondensedQp | None = None
-        self._start: IpmStart | None = None
         self.reset()
 
     def reset(self, position=(0.0, 0.0, 0.0)) -> None:
         """Cold-start the guess at hover: the unique steady state."""
         self.X[:] = dyn.hover_state(position)
         self.U[:] = self.cfg.params.hover_input()
-        self._prepared = None
-        self._start = None
+        self._prepared: CondensedQp | None = None
+        self._start: IpmStart | None = None
 
     def prepare(self, refs: ReferenceWindow) -> None:
         """Linearize, assemble, condense and start the QP solve: all that needs no measurement.
@@ -155,7 +157,8 @@ class RtiController:
         """Inject the estimated state, solve the QP, step, and shift the guess.
 
         A non-finite ``xhat`` is not passed to the solver: the cycle is
-        degraded like one whose QP solve failed.
+        degraded like one whose QP solve failed. After the shift, ``X[0]``
+        is the state predicted one step ahead.
         """
         if self._prepared is None:
             raise RuntimeError("feedback called without a prepared cycle")
@@ -194,8 +197,6 @@ class RtiController:
 
         out = ControlOutput(
             u0=np.clip(self.U[0], self.cfg.u_lower, self.cfg.u_upper),
-            X_pred=self.X.copy(),
-            U_pred=self.U.copy(),
             prep_us=self.prep_us,
             **stats,
         )
@@ -224,8 +225,7 @@ def solve_to_convergence(
     refs: ReferenceWindow,
     xi0: np.ndarray,
     max_sqp_iters: int = 100,
-    kkt_tol: float = 1e-6,
-    block_size: int = 5,
+    kkt_tol: float = SQP_KKT_TOL,
 ) -> SqpResult:
     """SQP on a fixed problem, iterated until the nonlinear KKT residual
     falls below ``kkt_tol``.
@@ -285,7 +285,7 @@ def solve_to_convergence(
             return SqpResult(X=X, U=U, iterations=it, kkt_history=history)
         if it == max_sqp_iters:
             break
-        cond = partial_condense(qp, min(block_size, N))
+        cond = partial_condense(qp, min(DEFAULT_BLOCK_SIZE, N))
         sol = expand(solve_riccati_ipm(cond.qp, tol=1e-9, max_iters=60), cond)
 
         # exact-penalty weight must dominate the equality multipliers

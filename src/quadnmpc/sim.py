@@ -1,6 +1,6 @@
 """Closed-loop simulation: plant propagation, delays, references, metrics.
 
-The plant is integrated with ERK4 at a micro-step (1 ms by default,
+The plant is integrated with ERK4 at a micro-step (``SimConfig.micro_step``,
 quaternion renormalized every step) while the controller runs every
 sampling period. Measurements are taken from the ground-truth history
 with the configured latency, optionally corrupted by noise and passed
@@ -26,7 +26,15 @@ from . import dynamics as dyn
 from .delay import DelayConfig, InputBuffer, StateHistory, predict
 from .lqr import LqrDesign, design_lqr, lqr_control
 from .ocp import OcpConfig, ReferenceWindow, STAGE_REF_DIM
-from .rti import ControlOutput, RtiController, solve_to_convergence
+from .qp import QP_MAX_ITERS, QP_TOL
+from .rti import (
+    DEFAULT_BLOCK_SIZE,
+    DEFAULT_SOLVER,
+    SQP_KKT_TOL,
+    ControlOutput,
+    RtiController,
+    solve_to_convergence,
+)
 
 log = logging.getLogger(__name__)
 
@@ -53,6 +61,10 @@ DIAGNOSTICS_COLUMNS = ",".join(["k"] + [column for column, _, _ in DIAGNOSTICS])
 # reference sources
 # ---------------------------------------------------------------------------
 
+# where the scenarios start and where the steps go [m]
+SCENARIO_START = (0.0, 0.0, 0.4)
+SCENARIO_GOAL = (1.0, -1.0, 1.0)
+
 
 class PositionSource:
     """Piecewise position setpoints (steps, ramps) streamed point-by-point.
@@ -70,11 +82,8 @@ class PositionSource:
     def position(self, t: float) -> np.ndarray:
         return np.asarray(self._fn(t), dtype=float)
 
-    def row(self, t: float) -> np.ndarray:
-        return np.concatenate([dyn.hover_state(self.position(t)), self._u])
-
     def window(self, t: float, N: int, dt: float) -> ReferenceWindow:
-        row = self.row(t)
+        row = np.concatenate([dyn.hover_state(self.position(t)), self._u])
         return ReferenceWindow(stages=np.tile(row, (N, 1)), terminal=row[: dyn.NX].copy())
 
 
@@ -104,9 +113,6 @@ class SampledTrajectory:
     def position(self, t: float) -> np.ndarray:
         return self.rows[self._index(t)][:3].copy()
 
-    def row(self, t: float) -> np.ndarray:
-        return self.rows[self._index(t)].copy()
-
     def window(self, t: float, N: int, dt: float) -> ReferenceWindow:
         idx = np.minimum(self._index(t) + np.arange(N + 1), len(self.rows) - 1)
         return ReferenceWindow(
@@ -114,13 +120,13 @@ class SampledTrajectory:
         )
 
 
-def hover_scenario(params: dyn.QuadrotorParams, p=(0.0, 0.0, 0.4)) -> PositionSource:
+def hover_scenario(params: dyn.QuadrotorParams, p=SCENARIO_START) -> PositionSource:
     p = np.asarray(p, dtype=float)
     return PositionSource(lambda t: p, params.hover_input())
 
 
 def step_scenario(
-    params: dyn.QuadrotorParams, start=(0.0, 0.0, 0.4), goal=(1.0, -1.0, 1.0)
+    params: dyn.QuadrotorParams, start=SCENARIO_START, goal=SCENARIO_GOAL
 ) -> PositionSource:
     """The steep-step scenario: lateral ramps to the target, a step in z.
 
@@ -141,29 +147,24 @@ def step_scenario(
     return PositionSource(fn, params.hover_input())
 
 
-def zstep_scenario(
-    params: dyn.QuadrotorParams,
-    base=(0.0, 0.0, 0.4),
-    amplitude=0.6,
-    step_time=0.5,
-) -> PositionSource:
-    """Single vertical step: the step-response scenario of the latency studies."""
-    base = np.asarray(base, dtype=float)
+def zstep_scenario(params: dyn.QuadrotorParams, amplitude=0.6) -> PositionSource:
+    """Single vertical step at 0.5 s: the step-response scenario of the latency studies."""
+    base = np.asarray(SCENARIO_START, dtype=float)
     target = base + np.array([0.0, 0.0, amplitude])
 
     def fn(t):
-        return target if t >= step_time else base
+        return target if t >= 0.5 else base
 
     return PositionSource(fn, params.hover_input())
 
 
 def gen_smooth_step(
     params: dyn.QuadrotorParams,
-    target=(1.0, -1.0, 1.0),
-    start=(0.0, 0.0, 0.4),
+    target=SCENARIO_GOAL,
+    start=SCENARIO_START,
     T: float = 6.0,
     N: int = 400,
-    kkt_tol: float = 1e-6,
+    kkt_tol: float = SQP_KKT_TOL,
     ocp_cfg: OcpConfig | None = None,
 ):
     """Dynamically feasible smooth step, solved to convergence offline.
@@ -299,10 +300,10 @@ class SimConfig:
     duration: float = 6.0
     micro_step: float = 1e-3
     controller: str = "nmpc"
-    solver: str = "riccati"
-    block_size: int = 5
-    qp_tol: float = 1e-8
-    qp_max_iters: int = 50
+    solver: str = DEFAULT_SOLVER
+    block_size: int = DEFAULT_BLOCK_SIZE
+    qp_tol: float = QP_TOL
+    qp_max_iters: int = QP_MAX_ITERS
     delay: DelayConfig = field(default_factory=DelayConfig)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     vel_filter: VelocityFilterConfig = field(default_factory=VelocityFilterConfig)
@@ -325,7 +326,7 @@ class SimTrace:
     ``state``, ``measured`` and ``estimated`` are the true, the measured
     and the controller's estimated state, ``u`` the applied input and
     ``ref`` the reference position. ``cycles`` holds each cycle's
-    controller record without its predicted horizon.
+    controller record.
     """
 
     t: np.ndarray
@@ -407,7 +408,6 @@ def run_closed_loop(cfg: SimConfig) -> SimTrace:
 
     for k in range(n_cycles):
         t = k * tau_s
-        truth = history.at(t)
 
         meas = history.at(t - tau1).copy()
         if cfg.noise.enabled:
@@ -434,8 +434,6 @@ def run_closed_loop(cfg: SimConfig) -> SimTrace:
 
         if cfg.controller == "nmpc":
             out = ctrl.cycle(est, source.window(t, cfg.ocp.N, tau_s))
-            # the trace keeps the diagnostics, not the predicted horizons
-            out.X_pred = out.U_pred = None
         else:
             t0 = time.perf_counter_ns()
             u0 = lqr_control(lqr_design, est, p_ref=source.position(t))
@@ -443,7 +441,7 @@ def run_closed_loop(cfg: SimConfig) -> SimTrace:
 
         u_cmd = np.clip(out.u0, cfg.ocp.u_lower, cfg.ocp.u_upper)
         buffer.push(t + tau_fwd, u_cmd)
-        rows.append((truth.copy(), meas, est, u_cmd, source.position(t)))
+        rows.append((x.copy(), meas, est, u_cmd, source.position(t)))
         cycles.append(out)
 
         for j in range(n_sub):
@@ -453,7 +451,7 @@ def run_closed_loop(cfg: SimConfig) -> SimTrace:
             x[dyn.QUAT] = dyn.quat_normalize(x[dyn.QUAT])
             history.push(s + h, x)
         buffer.trim(t - max(tau_r, tau_s))
-        # the next cycle looks up the state at its own time and tau1 earlier
+        # the next cycle measures the state tau1 before its own time
         history.trim((k + 1) * tau_s - tau1)
 
         if not np.isfinite(x).all() or np.abs(x[dyn.POS]).max() > cfg.envelope_m:

@@ -27,9 +27,9 @@ import numpy as np
 
 from . import dynamics as dyn
 from .delay import DelayConfig
-from .ocp import OcpConfig
+from .ocp import OcpConfig, build_qp
 from .qp import expand, partial_condense, solve_riccati_ipm
-from .rti import SOLVERS, RtiController
+from .rti import DEFAULT_BLOCK_SIZE, SOLVERS, RtiController
 from .sim import (
     CONTROLLERS,
     SimConfig,
@@ -47,11 +47,8 @@ class StudyResult:
     name: str
     rows: list[dict] = field(default_factory=list)
     verdicts: dict = field(default_factory=dict)
-    traces: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(self.verdicts.values())
+    # the benchmark's per-horizon aggregates, fitted exponents and ratios
+    scaling: dict = field(default_factory=dict)
 
 
 def _non_increasing(values, rtol=1e-9) -> bool:
@@ -60,12 +57,11 @@ def _non_increasing(values, rtol=1e-9) -> bool:
 
 
 def _fly(params: dyn.QuadrotorParams, scenario, N: int, duration: float, **sim_kwargs):
-    """Fly ``scenario`` under an ``N``-stage horizon; return the trace and its metrics."""
+    """Fly ``scenario`` under an ``N``-stage horizon; return the flight's metrics."""
     cfg = SimConfig(
         scenario=scenario, ocp=OcpConfig(N=N, params=params), duration=duration, **sim_kwargs
     )
-    trace = run_closed_loop(cfg)
-    return trace, compute_metrics(trace, cfg.ocp.u_lower, cfg.ocp.u_upper)
+    return compute_metrics(run_closed_loop(cfg), cfg.ocp.u_lower, cfg.ocp.u_upper)
 
 
 def horizon_study(params: dyn.QuadrotorParams) -> StudyResult:
@@ -79,9 +75,7 @@ def horizon_study(params: dyn.QuadrotorParams) -> StudyResult:
     res = StudyResult(name="horizon")
     delay = DelayConfig.from_cycle_multiple(NOMINAL_RTT_CYCLES, OcpConfig.dt)
     for N in (10, 20, 30, 40, 50):
-        trace, m = _fly(
-            params, zstep_scenario(params), N, 4.5, block_size=min(5, N), delay=delay
-        )
+        m = _fly(params, zstep_scenario(params), N, 4.5, delay=delay)
         res.rows.append(
             {
                 "N": N,
@@ -91,7 +85,6 @@ def horizon_study(params: dyn.QuadrotorParams) -> StudyResult:
                 "diverged": m.diverged,
             }
         )
-        res.traces[N] = trace
     res.verdicts["rms_non_increasing_in_horizon"] = _non_increasing(
         [row["rms_m"] for row in res.rows]
     )
@@ -116,7 +109,7 @@ def delay_study(params: dyn.QuadrotorParams) -> StudyResult:
         delay = DelayConfig.from_cycle_multiple(
             lam, OcpConfig.dt, compensate=compensate, predictor_steps=max(1, lam)
         )
-        trace, m = _fly(params, zstep_scenario(params, amplitude=0.2), 50, 4.5, delay=delay)
+        m = _fly(params, zstep_scenario(params, amplitude=0.2), 50, 4.5, delay=delay)
         res.rows.append(
             {
                 "lambda": lam,
@@ -126,7 +119,6 @@ def delay_study(params: dyn.QuadrotorParams) -> StudyResult:
                 "diverged": m.diverged,
             }
         )
-        res.traces[(lam, compensate)] = trace
 
     overshoots = [row["z_overshoot_pct"] for row in res.rows[:-1]]
     base, comp = overshoots[0], res.rows[-1]["z_overshoot_pct"]
@@ -145,7 +137,7 @@ def compare_study(params: dyn.QuadrotorParams) -> StudyResult:
     res = StudyResult(name="compare")
     metrics = {}
     for kind in CONTROLLERS:
-        trace, m = _fly(params, step_scenario(params), 50, 7.5, controller=kind)
+        m = _fly(params, step_scenario(params), 50, 7.5, controller=kind)
         metrics[kind] = m
         res.rows.append(
             {
@@ -157,7 +149,6 @@ def compare_study(params: dyn.QuadrotorParams) -> StudyResult:
                 "diverged": m.diverged,
             }
         )
-        res.traces[kind] = trace
     res.verdicts["nmpc_overshoots_less_than_lqr"] = (
         metrics["nmpc"].overshoot_pct[2] < metrics["lqr"].overshoot_pct[2]
     )
@@ -167,23 +158,21 @@ def compare_study(params: dyn.QuadrotorParams) -> StudyResult:
     return res
 
 
-def _reference_qp(params: dyn.QuadrotorParams, N: int = 50):
+def _reference_qp(params: dyn.QuadrotorParams, N: int):
     """An N-stage tracking QP captured mid-transient, initial residual included."""
     cfg = OcpConfig(N=N, params=params)
     scenario = zstep_scenario(params)
     ctrl = RtiController(cfg, block_size=1)
     ctrl.reset(scenario.position(0.0))
     x = dyn.hover_state(scenario.position(0.0))
+    h = SimConfig.micro_step
     for k in range(60):
         t = k * cfg.dt
         out = ctrl.cycle(x, scenario.window(t, N, cfg.dt))
-        for _ in range(15):
-            x = dyn.erk4_step(lambda s: dyn.ode_rhs(s, out.u0, params), x, 1e-3)
+        for _ in range(round(cfg.dt / h)):
+            x = dyn.erk4_step(lambda s: dyn.ode_rhs(s, out.u0, params), x, h)
             x[dyn.QUAT] = dyn.quat_normalize(x[dyn.QUAT])
-    ctrl.prepare(scenario.window(60 * cfg.dt, N, cfg.dt))
-    cond = ctrl._prepared
-    cond.original.x0_residual = x - ctrl.X[0]
-    return cond.original
+    return build_qp(ctrl.X, ctrl.U, scenario.window(60 * cfg.dt, N, cfg.dt), x, cfg)
 
 
 def condensing_study(
@@ -200,7 +189,7 @@ def condensing_study(
         t0 = time.perf_counter_ns()
         cond = partial_condense(qp, M)
         t1 = time.perf_counter_ns()
-        sol = expand(solve_riccati_ipm(cond.qp, tol=1e-8), cond)
+        sol = expand(solve_riccati_ipm(cond.qp), cond)
         t2 = time.perf_counter_ns()
         U = np.concatenate(sol.u)
         if reference is None:
@@ -229,7 +218,7 @@ def benchmark(
     horizons=(10, 20, 30, 40, 50),
     cycles: int = 100,
     warmup: int = 10,
-    block_size: int = 5,
+    block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> StudyResult:
     """Per-cycle timings of both QP pipelines across horizon lengths.
 
@@ -284,7 +273,7 @@ def benchmark(
                     "per_iter_us": iter_us,
                 }
             )
-    res.traces["aggregate"] = totals
+    res.scaling["aggregate"] = totals
 
     logN = np.log(np.asarray(horizons, dtype=float))
     fit = {
@@ -293,9 +282,8 @@ def benchmark(
     }
     ratios = [d / r for d, r in zip(per_iter["dense"], per_iter["riccati"])]
     ratio_slope = float(np.polyfit(logN, np.log(np.asarray(ratios)), 1)[0])
-    res.traces["fit_exponents"] = fit
-    res.traces["dense_over_riccati_ratio"] = ratios
-    res.traces["ratio_trend_exponent"] = ratio_slope
+    res.scaling["fit_exponents"] = fit
+    res.scaling["dense_over_riccati_ratio"] = ratios
     res.verdicts["dense_per_iter_scales_at_least_quadratically"] = fit["dense"] >= 2.0
     res.verdicts["riccati_per_iter_scales_subquadratically"] = fit["riccati"] <= 1.3
     # trend assertion: adjacent pairs drown in scheduler noise on loaded

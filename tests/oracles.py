@@ -366,3 +366,10 @@ def complex_step_jacobian(f, x, h=1e-30):
         xc[k] += 1j * h
         cols.append(np.imag(f(xc)) / h)
     return np.array(cols).T
+
+
+def dare_residual(A, B, Q, R, P) -> float:
+    """Infinity norm of the discrete Riccati equation defect at ``P``."""
+    APB = A.T @ P @ B
+    res = A.T @ P @ A - P - APB @ np.linalg.solve(B.T @ P @ B + R, APB.T) + Q
+    return float(np.abs(res).max())

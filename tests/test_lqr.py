@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from conftest import hover_window
+from oracles import dare_residual
 from quadnmpc import dynamics as dyn
 from quadnmpc.lqr import (
     DEFAULT_LQR_Q,
     DEFAULT_LQR_R,
     DareError,
     _doubling_step,
-    dare_residual,
     design_lqr,
     linearize_and_reduce,
     lqr_control,
@@ -149,7 +150,7 @@ class TestControlLaw:
         # controller's local approximation: small-deviation trajectories agree
         # (the default baseline gains are a different tuning on purpose)
         from quadnmpc.ocp import DEFAULT_INPUT_WEIGHT, DEFAULT_STATE_WEIGHT
-        from quadnmpc.ocp import OcpConfig, hover_reference_window
+        from quadnmpc.ocp import OcpConfig
         from quadnmpc.rti import RtiController
 
         Q12 = np.concatenate([DEFAULT_STATE_WEIGHT[:3], DEFAULT_STATE_WEIGHT[4:]])
@@ -158,7 +159,7 @@ class TestControlLaw:
         x0 = dyn.hover_state(delta)
         cfg = OcpConfig(N=30, params=params)
         ctrl = RtiController(cfg, block_size=5)
-        refs = hover_reference_window(cfg)
+        refs = hover_window(cfg)
 
         def rollout(controller):
             x = x0.copy()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_state
+from conftest import hover_window, random_state
 from oracles import central_diff_jacobian, complex_step_jacobian, rk4_vector_form
 from quadnmpc import dynamics as dyn
 from quadnmpc.ocp import (
@@ -11,7 +11,6 @@ from quadnmpc.ocp import (
     build_qp,
     discrete_dynamics_batch,
     discrete_jacobians_batch,
-    hover_reference_window,
 )
 
 
@@ -162,7 +161,7 @@ class TestStageLinearization:
 class TestBuildQp:
     def test_hover_structure(self, cfg, params):
         X, U = hover_guess(cfg)
-        refs = hover_reference_window(cfg)
+        refs = hover_window(cfg)
         qp = build_qp(X, U, refs, X[0], cfg)
         assert qp.num_stages == cfg.N
         for i in range(qp.num_stages):
@@ -175,14 +174,14 @@ class TestBuildQp:
     def test_single_stage_horizon(self, params):
         cfg = OcpConfig(N=1, params=params)
         X, U = hover_guess(cfg)
-        qp = build_qp(X, U, hover_reference_window(cfg), X[0], cfg)
+        qp = build_qp(X, U, hover_window(cfg), X[0], cfg)
         assert qp.num_stages == 1
         assert qp.Q_N.shape == (13, 13)
 
     def test_matches_single_stage_linearization(self, cfg, rng):
         X = np.array([random_state(rng) for _ in range(cfg.N + 1)])
         U = rng.uniform(2, 20, (cfg.N, 4))
-        refs = hover_reference_window(cfg)
+        refs = hover_window(cfg)
         qp = build_qp(X, U, refs, X[0], cfg)
         Wx, Wu = cfg.W[:13], cfg.W[13:]
         for i in (0, 7, cfg.N - 1):
@@ -195,7 +194,7 @@ class TestBuildQp:
 
     def test_dimension_mismatch_raises(self, cfg):
         X, U = hover_guess(cfg)
-        refs = hover_reference_window(cfg)
+        refs = hover_window(cfg)
         with pytest.raises(ValueError):
             build_qp(X[:-1], U, refs, X[0], cfg)
         with pytest.raises(ValueError):
@@ -206,5 +205,5 @@ class TestBuildQp:
     def test_initial_residual(self, cfg, rng):
         X, U = hover_guess(cfg)
         xhat = random_state(rng)
-        qp = build_qp(X, U, hover_reference_window(cfg), xhat, cfg)
+        qp = build_qp(X, U, hover_window(cfg), xhat, cfg)
         np.testing.assert_allclose(qp.x0_residual, xhat - X[0])

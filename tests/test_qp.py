@@ -11,9 +11,9 @@ from oracles import (
     solve_qp_equality_kkt,
     stack_qp_dense,
 )
-from conftest import random_state
+from conftest import hover_window, random_state
 from quadnmpc.dynamics import hover_state
-from quadnmpc.ocp import OcpConfig, build_qp, discrete_dynamics_batch, hover_reference_window
+from quadnmpc.ocp import OcpConfig, build_qp, discrete_dynamics_batch
 from quadnmpc.qp import (
     OcpQp,
     QpNumericalError,
@@ -93,7 +93,7 @@ class TestDataModel:
         cfg = OcpConfig(N=3, params=params)
         X = np.array([random_state(rng) for _ in range(cfg.N + 1)])
         U = rng.uniform(2, 20, (cfg.N, 4))
-        qp = build_qp(X, U, hover_reference_window(cfg), X[0], cfg)
+        qp = build_qp(X, U, hover_window(cfg), X[0], cfg)
         F = discrete_dynamics_batch(X[:-1], U, cfg.dt, params)
         np.testing.assert_allclose(qp.c, F - X[1:], rtol=0, atol=1e-14)
 
@@ -256,7 +256,7 @@ class TestDenseIpm:
         cfg = OcpConfig(N=N, params=params)
         X = np.tile(hover_state((0.0, 0.0, 0.0)), (N + 1, 1))
         U = np.tile(params.hover_input(), (N, 1))
-        qp = build_qp(X, U, hover_reference_window(cfg, (0.6, 0.0, 0.6)), X[0], cfg)
+        qp = build_qp(X, U, hover_window(cfg, (0.6, 0.0, 0.6)), X[0], cfg)
         assert solve_dense_ipm(qp).status == "converged"
 
 

@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import hover_window
 import quadnmpc.rti as rti_mod
 from quadnmpc import dynamics as dyn
-from quadnmpc.ocp import (
-    OcpConfig,
-    ReferenceWindow,
-    build_qp,
-    discrete_dynamics_batch,
-    hover_reference_window,
-)
+from quadnmpc.ocp import OcpConfig, ReferenceWindow, build_qp, discrete_dynamics_batch
 from quadnmpc.qp import QpNumericalError
 from quadnmpc.rti import RtiController, SqpConvergenceError, solve_to_convergence
 
@@ -34,6 +29,11 @@ def minjerk_window(cfg, start, goal, T_man):
     return ReferenceWindow(stages=rows[: cfg.N], terminal=rows[cfg.N, :13])
 
 
+def shifted(X):
+    """The warm-start shift: every stage moves forward, the last is duplicated."""
+    return np.concatenate([X[1:], X[-1:]])
+
+
 def count_solves(monkeypatch) -> list:
     """Record each QP solution the controller expands: one per solved QP."""
     solves = []
@@ -50,7 +50,7 @@ def count_solves(monkeypatch) -> list:
 class TestRtiController:
     def test_hover_fixed_point(self, cfg):
         ctrl = RtiController(cfg)
-        refs = hover_reference_window(cfg)
+        refs = hover_window(cfg)
         ctrl.prepare(refs)
         out = ctrl.feedback(dyn.hover_state())
         np.testing.assert_allclose(out.u0, cfg.params.hover_input(), atol=1e-6)
@@ -61,7 +61,7 @@ class TestRtiController:
     def test_one_qp_solve_per_cycle(self, cfg, monkeypatch):
         solves = count_solves(monkeypatch)
         ctrl = RtiController(cfg)
-        refs = hover_reference_window(cfg)
+        refs = hover_window(cfg)
         for k in range(5):
             ctrl.cycle(dyn.hover_state(), refs)
             assert len(solves) == k + 1
@@ -73,7 +73,7 @@ class TestRtiController:
 
     def test_consecutive_prepares_identical(self, cfg):
         ctrl = RtiController(cfg)
-        refs = hover_reference_window(cfg, p=(0.3, 0.0, 0.1))
+        refs = hover_window(cfg, p=(0.3, 0.0, 0.1))
         ctrl.prepare(refs)
         first = ctrl._prepared
         ctrl.prepare(refs)
@@ -85,30 +85,41 @@ class TestRtiController:
 
     def test_prepare_after_shift_uses_shifted_guess(self, cfg, rng):
         ctrl = RtiController(cfg)
-        refs = hover_reference_window(cfg, p=(0.2, -0.1, 0.3))
+        refs = hover_window(cfg, p=(0.2, -0.1, 0.3))
         xhat = dyn.hover_state((0.05, 0.0, 0.0))
-        out = ctrl.cycle(xhat, refs)
+        ctrl.cycle(xhat, refs)
+        X, U = ctrl.X.copy(), ctrl.U.copy()
         ctrl.prepare(refs)
         # linearization points of the new cycle are the shifted updated iterate
-        X = np.concatenate([out.X_pred[1:], out.X_pred[-1:]])
-        U = np.concatenate([out.U_pred[1:], out.U_pred[-1:]])
         got, expected = ctrl._prepared.original, build_qp(X, U, refs, X[0], cfg)
         for name in ("A", "B", "c", "q", "r", "lb", "ub", "q_N"):
             np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
 
-    def test_shift_consistency(self, cfg):
+    def test_shift_consistency(self, cfg, monkeypatch):
+        steps = []
+        expand = rti_mod.expand
+
+        def recording_expand(csol, cond):
+            steps.append(expand(csol, cond))
+            return steps[-1]
+
+        monkeypatch.setattr(rti_mod, "expand", recording_expand)
         ctrl = RtiController(cfg)
-        refs = hover_reference_window(cfg, p=(0.2, 0.2, 0.2))
+        refs = hover_window(cfg, p=(0.2, 0.2, 0.2))
+        X, U = ctrl.X.copy(), ctrl.U.copy()
         out = ctrl.cycle(dyn.hover_state(), refs)
-        for i in range(cfg.N - 1):
-            np.testing.assert_array_equal(ctrl.X[i], out.X_pred[i + 1])
-            np.testing.assert_array_equal(ctrl.U[i], out.U_pred[i + 1])
+        # the updated iterate, as feedback forms it before the shift
+        X, U = X + steps[0].x, U + steps[0].u
+        rti_mod._normalize_guess_attitudes(X)
+        np.testing.assert_array_equal(out.u0, np.clip(U[0], cfg.u_lower, cfg.u_upper))
+        np.testing.assert_array_equal(ctrl.X, shifted(X))
+        np.testing.assert_array_equal(ctrl.U, shifted(U))
 
     def test_input_always_within_bounds(self, cfg, rng):
         from conftest import random_state
 
         ctrl = RtiController(cfg)
-        refs = hover_reference_window(cfg, p=(1.0, -1.0, 1.0))
+        refs = hover_window(cfg, p=(1.0, -1.0, 1.0))
         for _ in range(10):
             out = ctrl.cycle(random_state(rng), refs)
             assert np.all(out.u0 >= cfg.u_lower - 1e-12)
@@ -118,14 +129,14 @@ class TestRtiController:
         ctrl = RtiController(cfg)
         ctrl.X += rng.uniform(-0.1, 0.1, ctrl.X.shape)
         ctrl.U += rng.uniform(-0.1, 0.1, ctrl.U.shape)
-        refs = hover_reference_window(cfg)
+        refs = hover_window(cfg)
         xhat = dyn.hover_state()
         norms = [ctrl.cycle(xhat, refs).step_norm for _ in range(5)]
         assert all(norms[i + 1] <= norms[i] for i in range(4))
 
     def test_degraded_mode_on_qp_failure(self, cfg, monkeypatch):
         ctrl = RtiController(cfg)
-        refs = hover_reference_window(cfg)
+        refs = hover_window(cfg)
         ctrl.cycle(dyn.hover_state(), refs)
         expected = np.clip(ctrl.U[0], cfg.u_lower, cfg.u_upper)
 
@@ -151,10 +162,10 @@ class TestRtiController:
     @staticmethod
     def check_indefinite_first_newton_matrix(cfg, monkeypatch, solver):
         ctrl = RtiController(cfg, solver=solver)
-        refs = hover_reference_window(cfg)
+        refs = hover_window(cfg)
         ctrl.cycle(dyn.hover_state(), refs)
         expected = np.clip(ctrl.U[0], cfg.u_lower, cfg.u_upper)
-        shifted = ctrl.X.copy()
+        guess = ctrl.X.copy()
 
         def concave_build_qp(*args, **kwargs):
             qp = build_qp(*args, **kwargs)
@@ -168,17 +179,18 @@ class TestRtiController:
         assert out.degraded
         assert out.qp_status == "numerical_error"
         np.testing.assert_array_equal(out.u0, expected)
-        np.testing.assert_array_equal(out.X_pred, shifted)
+        # no step: the guess is only shifted once more
+        np.testing.assert_array_equal(ctrl.X, shifted(guess))
 
     @pytest.mark.parametrize("solver", ["riccati", "dense"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_estimate_degrades_the_cycle(self, cfg, solver, bad, monkeypatch):
         solves = count_solves(monkeypatch)
         ctrl = RtiController(cfg, solver=solver)
-        refs = hover_reference_window(cfg, p=(0.2, 0.0, 0.1))
+        refs = hover_window(cfg, p=(0.2, 0.0, 0.1))
         ctrl.cycle(dyn.hover_state(), refs)
         expected = np.clip(ctrl.U[0], cfg.u_lower, cfg.u_upper)
-        shifted = ctrl.X.copy()
+        guess = ctrl.X.copy()
         xhat = dyn.hover_state()
         xhat[8] = bad
         out = ctrl.cycle(xhat, refs)
@@ -188,13 +200,14 @@ class TestRtiController:
         assert np.all(np.isfinite(out.u0))
         assert np.all(out.u0 >= cfg.u_lower) and np.all(out.u0 <= cfg.u_upper)
         np.testing.assert_array_equal(out.u0, expected)
-        np.testing.assert_array_equal(out.X_pred, shifted)
+        # no step: the guess is only shifted once more
+        np.testing.assert_array_equal(ctrl.X, shifted(guess))
         # the next cycle with a finite estimate solves again
         assert not ctrl.cycle(dyn.hover_state(), refs).degraded
 
     def test_dense_solver_pipeline_matches_riccati(self, params):
         cfg = OcpConfig(N=10, params=params)
-        refs = hover_reference_window(cfg, p=(0.3, 0.1, 0.2))
+        refs = hover_window(cfg, p=(0.3, 0.1, 0.2))
         a = RtiController(cfg, solver="riccati", block_size=5)
         b = RtiController(cfg, solver="dense")
         xhat = dyn.hover_state((0.05, 0.0, 0.1))
@@ -211,7 +224,7 @@ class TestRtiController:
 class TestSolveToConvergence:
     def test_hover_to_hover_immediate(self, params):
         cfg = OcpConfig(N=15, params=params)
-        refs = hover_reference_window(cfg, p=(0.0, 0.0, 0.4))
+        refs = hover_window(cfg, p=(0.0, 0.0, 0.4))
         res = solve_to_convergence(cfg, refs, dyn.hover_state((0.0, 0.0, 0.4)))
         assert res.iterations <= 1
         assert np.abs(res.U - cfg.params.hover_speed()).max() <= 1e-9
@@ -240,7 +253,7 @@ class TestSolveToConvergence:
 
     def test_iteration_limit_raises_with_history(self, params):
         cfg = OcpConfig(N=10, params=params)
-        refs = hover_reference_window(cfg, p=(0.5, 0.0, 0.9))
+        refs = hover_window(cfg, p=(0.5, 0.0, 0.9))
         with pytest.raises(SqpConvergenceError) as exc:
             solve_to_convergence(
                 cfg, refs, dyn.hover_state((0, 0, 0.4)), max_sqp_iters=1, kkt_tol=1e-14

@@ -48,7 +48,7 @@ class TestScenarios:
         np.testing.assert_allclose(src.position(100.0), [1, -1, 1])
 
     def test_zstep(self, params):
-        src = zstep_scenario(params, amplitude=0.6, step_time=0.5)
+        src = zstep_scenario(params, amplitude=0.6)
         np.testing.assert_allclose(src.position(0.49), [0, 0, 0.4])
         np.testing.assert_allclose(src.position(0.5), [0, 0, 1.0])
 

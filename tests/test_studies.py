@@ -32,7 +32,7 @@ class TestReferenceQp:
 class TestCondensingStudy:
     def test_invariance_verdicts(self, params):
         res = condensing_study(params, block_sizes=(1, 2, 5, 10), N=10)
-        assert res.passed
+        assert all(res.verdicts.values())
         assert [row["stages"] for row in res.rows] == [10, 5, 2, 1]
         assert all(row["deviation_from_M1"] <= 1e-6 for row in res.rows)
 
@@ -46,7 +46,7 @@ class TestBenchmarkSmoke:
         ]
         # 2 horizons x 2 solvers x 4 timed cycles
         assert len(res.rows) == 16
-        aggregate = res.traces["aggregate"]
+        aggregate = res.scaling["aggregate"]
         assert {(r["N"], r["solver"]) for r in aggregate} == {
             (5, "riccati"), (5, "dense"), (10, "riccati"), (10, "dense"),
         }
@@ -70,12 +70,12 @@ class TestStudyCli:
                 "ip_iters": 6, "time_prep_us": 100.0, "time_solve_us": 200.0,
             }
         ]
-        stub.traces["aggregate"] = [
+        stub.scaling["aggregate"] = [
             {"N": 10, "solver": "riccati", "mean_cycle_us": 300.0,
              "max_cycle_us": 400.0, "per_iter_us": 30.0},
         ]
-        stub.traces["fit_exponents"] = {"riccati": 1.0, "dense": 2.5}
-        stub.traces["dense_over_riccati_ratio"] = [0.5, 1.5]
+        stub.scaling["fit_exponents"] = {"riccati": 1.0, "dense": 2.5}
+        stub.scaling["dense_over_riccati_ratio"] = [0.5, 1.5]
         stub.verdicts = {"ratio_strictly_increasing": True}
         monkeypatch.setattr(cli_mod, "benchmark", lambda *a, **k: stub)
         code = main(["benchmark", "--out", str(tmp_path)])
@@ -83,3 +83,43 @@ class TestStudyCli:
         assert (tmp_path / "benchmark.csv").exists()
         summary = (tmp_path / "benchmark_summary.txt").read_text()
         assert "PASS" in summary
+
+    @staticmethod
+    def never_called(*args, **kwargs):
+        raise AssertionError("the command ran although its settings were rejected")
+
+    def test_study_rejects_a_setting_it_does_not_read(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setitem(cli_mod.STUDIES, "horizon", self.never_called)
+        code = main(["study", "horizon", "--set", "nmpc.N=10", "--out", str(tmp_path)])
+        assert code == 2
+        assert "nmpc.N" in capsys.readouterr().err
+
+    def test_benchmark_rejects_a_setting_it_does_not_read(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli_mod, "benchmark", self.never_called)
+        code = main(["benchmark", "--set", "sim.duration=1", "--out", str(tmp_path)])
+        assert code == 2
+        assert "sim.duration" in capsys.readouterr().err
+
+    def test_benchmark_takes_model_and_block_size(self, tmp_path, monkeypatch):
+        calls = []
+
+        def stub(params, block_size):
+            calls.append((params.m, block_size))
+            raise RuntimeError("stop after the call")
+
+        monkeypatch.setattr(cli_mod, "benchmark", stub)
+        argv = ["benchmark", "--set", "model.m=0.04", "--set", "qp.block_size=10"]
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        assert calls == [(0.04, 10)]
+
+    def test_study_takes_model(self, tmp_path, monkeypatch):
+        masses = []
+
+        def stub(params):
+            masses.append(params.m)
+            return StudyResult(name="horizon", rows=[{"N": 10}], verdicts={"ok": True})
+
+        monkeypatch.setitem(cli_mod.STUDIES, "horizon", stub)
+        code = main(["study", "horizon", "--set", "model.m=0.04", "--out", str(tmp_path)])
+        assert code == 0
+        assert masses == [0.04]
