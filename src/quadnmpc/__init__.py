@@ -16,7 +16,7 @@ cli        command-line interface
 
 from .delay import DelayConfig, InputBuffer, predict
 from .dynamics import QuadrotorParams, hover_state
-from .lqr import LqrDesign, design_lqr, lqr_control, solve_dare
+from .lqr import LqrDesign, design_lqr, lqr_control
 from .ocp import OcpConfig, ReferenceWindow, build_qp
 from .qp import OcpQp, QpSolution, expand, partial_condense, solve_dense_ipm, solve_riccati_ipm
 from .rti import RtiController, solve_to_convergence
@@ -54,7 +54,6 @@ __all__ = [
     "partial_condense",
     "predict",
     "run_closed_loop",
-    "solve_dare",
     "solve_dense_ipm",
     "solve_riccati_ipm",
     "solve_to_convergence",

@@ -117,7 +117,11 @@ print("wrote", path.replace(".csv", ".png"))
 
 
 # the commands that read only [model] and the keys listed; setting any other key is an error
-MODEL_ONLY_COMMANDS = {"study": (), "benchmark": ("qp.block_size",)}
+MODEL_ONLY_COMMANDS = {
+    "study": (),
+    "benchmark": ("qp.block_size",),
+    "trajgen": tuple(f"traj.{key}" for key in DEFAULTS["traj"]),
+}
 
 
 def _reject_unread_settings(command: str, rc: RunConfig) -> None:
@@ -129,7 +133,7 @@ def _reject_unread_settings(command: str, rc: RunConfig) -> None:
         if value != DEFAULTS[section][key] and f"{section}.{key}" not in reads
     ]
     if unread:
-        also = "".join(f" and {key}" for key in reads)
+        also = f" and {', '.join(reads)}" if reads else ""
         raise ConfigError(f"{command} reads only [model]{also}, not {', '.join(unread)}")
 
 

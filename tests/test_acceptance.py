@@ -23,7 +23,7 @@ from test_qp import make_random_qp
 
 from quadnmpc import dynamics as dyn
 from quadnmpc.delay import DelayConfig, InputBuffer, predict
-from quadnmpc.lqr import design_lqr, solve_dare
+from quadnmpc.lqr import design_lqr, solve_discrete_are
 from quadnmpc.ocp import OcpConfig, discrete_dynamics_batch, discrete_jacobians_batch
 from quadnmpc.qp import expand, partial_condense, solve_dense_ipm, solve_riccati_ipm
 from quadnmpc.rti import RtiController
@@ -262,7 +262,8 @@ class TestCriterion08LqrVsNmpc:
         rel_residual = dare_residual(design.A, design.B, design.Q, design.R, design.P) / np.abs(
             design.P
         ).max()
-        scalar = solve_dare(np.eye(1), np.eye(1), np.eye(1), np.eye(1), tol=1e-14)[0, 0]
+        # the scalar case of the solver design_lqr calls: P^2 = P + 1, the golden ratio
+        scalar = solve_discrete_are(np.eye(1), np.eye(1), np.eye(1), np.eye(1))[0, 0]
         scalar_ok = abs(scalar - (1 + math.sqrt(5)) / 2) <= 1e-10
         ok = report(
             8,

@@ -1,8 +1,5 @@
-import math
-
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
 from conftest import hover_window
 from oracles import dare_residual
@@ -10,14 +7,12 @@ from quadnmpc import dynamics as dyn
 from quadnmpc.lqr import (
     DEFAULT_LQR_Q,
     DEFAULT_LQR_R,
-    DareError,
-    _doubling_step,
     design_lqr,
     linearize_and_reduce,
     lqr_control,
     reduce_state,
-    solve_dare,
 )
+from quadnmpc.ocp import DEFAULT_INPUT_WEIGHT, DEFAULT_STATE_WEIGHT
 
 
 @pytest.fixture(scope="module")
@@ -51,63 +46,21 @@ class TestReduction:
         assert np.abs(B13[3]).max() <= 1e-10
 
 
+def nmpc_weight_design(params):
+    """The LQR designed from the NMPC tracking weights, its local approximation."""
+    Q12 = np.concatenate([DEFAULT_STATE_WEIGHT[:3], DEFAULT_STATE_WEIGHT[4:]])
+    return design_lqr(params, Q_diag=Q12, R_diag=DEFAULT_INPUT_WEIGHT)
+
+
 class TestDare:
-    def test_scalar_golden_ratio(self):
-        P = solve_dare(np.eye(1), np.eye(1), np.eye(1), np.eye(1), tol=1e-14)
-        assert P[0, 0] == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-10)
-
-    def test_zero_dynamics_gives_q(self):
-        Q = np.diag([2.0, 3.0])
-        P = solve_dare(np.zeros((2, 2)), np.eye(2), Q, np.eye(2))
-        np.testing.assert_allclose(P, Q, atol=1e-12)
-
-    def test_matches_scipy_oracle(self, rng):
-        for _ in range(10):
-            n, m = 4, 2
-            A = rng.normal(size=(n, n))
-            A *= 0.95 / max(1.0, np.abs(np.linalg.eigvals(A)).max())
-            B = rng.normal(size=(n, m))
-            Q = np.diag(rng.uniform(0.1, 5.0, n))
-            R = np.diag(rng.uniform(0.5, 2.0, m))
-            P = solve_dare(A, B, Q, R, tol=1e-12)
-            P_ref = sla.solve_discrete_are(A, B, Q, R)
-            assert np.abs(P - P_ref).max() / np.abs(P_ref).max() <= 1e-8
-
     def test_residual_contract(self, design):
         res = dare_residual(design.A, design.B, design.Q, design.R, design.P)
         assert res <= 1e-8 * np.abs(design.P).max()
 
-    def test_doublings_walk_the_fixed_point_iterates(self, rng):
-        # k doublings started at (A, B R^-1 B', Q) give fixed-point iterate 2^k - 1
-        n, m = 4, 2
-        A = rng.normal(size=(n, n))
-        A *= 0.95 / np.abs(np.linalg.eigvals(A)).max()
-        B = rng.normal(size=(n, m))
-        Q = np.diag(rng.uniform(0.1, 5.0, n))
-        R = np.diag(rng.uniform(0.5, 2.0, m))
-        A_k, G, H = A, B @ np.linalg.solve(R, B.T), Q
-        P, steps = Q, 0
-        for k in range(1, 5):
-            A_k, G, H = _doubling_step(A_k, G, H)
-            while steps < 2**k - 1:
-                APB = A.T @ P @ B
-                P = A.T @ P @ A - APB @ np.linalg.solve(B.T @ P @ B + R, APB.T) + Q
-                steps += 1
-            assert np.abs(H - P).max() <= 1e-12 * np.abs(P).max()
-
-    def test_default_design_matches_scipy_oracle(self, design):
-        P_ref = sla.solve_discrete_are(design.A, design.B, design.Q, design.R)
-        assert np.abs(design.P - P_ref).max() <= 1e-9 * np.abs(P_ref).max()
-
-    def test_default_design_residual_at_rounding_level(self, design):
-        res = dare_residual(design.A, design.B, design.Q, design.R, design.P)
-        assert res <= 1e-12 * np.abs(design.P).max()
-
-    def test_iteration_limit_raises(self):
-        A = np.eye(2) * 0.999
-        with pytest.raises(DareError) as exc:
-            solve_dare(A, np.eye(2), np.eye(2), np.eye(2), tol=1e-15, max_iters=3)
-        assert len(exc.value.history) == 3
+    def test_default_design_residual_at_rounding_level(self, design, params):
+        for name, d in (("default", design), ("nmpc_weights", nmpc_weight_design(params))):
+            res = dare_residual(d.A, d.B, d.Q, d.R, d.P)
+            assert res <= 1e-12 * np.abs(d.P).max(), name
 
 
 class TestDesign:
@@ -124,6 +77,12 @@ class TestDesign:
             design_lqr(params, Q_diag=np.ones(11))
         with pytest.raises(ValueError):
             design_lqr(params, R_diag=np.zeros(4))
+
+    def test_zero_state_weight_is_not_stabilizing(self, params):
+        # with Q = 0 the Riccati solution is P = 0, so K = 0 and the
+        # open-loop hover (eigenvalues on the unit circle) is left as it is
+        with pytest.raises(ValueError, match="not stabilizing"):
+            design_lqr(params, Q_diag=np.zeros(12))
 
 
 class TestControlLaw:
@@ -149,12 +108,10 @@ class TestControlLaw:
         # an LQR designed from the tracking weights is the receding-horizon
         # controller's local approximation: small-deviation trajectories agree
         # (the default baseline gains are a different tuning on purpose)
-        from quadnmpc.ocp import DEFAULT_INPUT_WEIGHT, DEFAULT_STATE_WEIGHT
         from quadnmpc.ocp import OcpConfig
         from quadnmpc.rti import RtiController
 
-        Q12 = np.concatenate([DEFAULT_STATE_WEIGHT[:3], DEFAULT_STATE_WEIGHT[4:]])
-        design = design_lqr(params, Q_diag=Q12, R_diag=DEFAULT_INPUT_WEIGHT)
+        design = nmpc_weight_design(params)
         delta = np.array([0.03, -0.02, 0.03])
         x0 = dyn.hover_state(delta)
         cfg = OcpConfig(N=30, params=params)

@@ -88,17 +88,34 @@ class TestStudyCli:
     def never_called(*args, **kwargs):
         raise AssertionError("the command ran although its settings were rejected")
 
+    @staticmethod
+    def assert_rejected(argv, keys, tmp_path, capsys):
+        """``argv`` exits 2 naming each of ``keys`` and makes no output directory."""
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in keys), err
+        assert not out.exists()
+
     def test_study_rejects_a_setting_it_does_not_read(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setitem(cli_mod.STUDIES, "horizon", self.never_called)
-        code = main(["study", "horizon", "--set", "nmpc.N=10", "--out", str(tmp_path)])
-        assert code == 2
-        assert "nmpc.N" in capsys.readouterr().err
+        argv = ["study", "horizon", "--set", "nmpc.N=10"]
+        self.assert_rejected(argv, ["nmpc.N"], tmp_path, capsys)
 
     def test_benchmark_rejects_a_setting_it_does_not_read(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli_mod, "benchmark", self.never_called)
-        code = main(["benchmark", "--set", "sim.duration=1", "--out", str(tmp_path)])
-        assert code == 2
-        assert "sim.duration" in capsys.readouterr().err
+        argv = ["benchmark", "--set", "sim.duration=1"]
+        self.assert_rejected(argv, ["sim.duration"], tmp_path, capsys)
+
+    def test_trajgen_rejects_a_setting_it_does_not_read(self, tmp_path, capsys):
+        argv = ["trajgen", "helix", "--set", "qp.tol=1e-3", "--set", "nmpc.N=10"]
+        self.assert_rejected(argv, ["qp.tol", "nmpc.N"], tmp_path, capsys)
+
+    def test_trajgen_takes_traj_settings(self, tmp_path):
+        code = main(["trajgen", "helix", "--set", "traj.r=0.4", "--out", str(tmp_path)])
+        assert code == 0
+        first = (tmp_path / "helix.csv").read_text().splitlines()[1].split(",")
+        assert float(first[1]) == pytest.approx(0.4)
 
     def test_benchmark_takes_model_and_block_size(self, tmp_path, monkeypatch):
         calls = []
