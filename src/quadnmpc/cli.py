@@ -116,16 +116,24 @@ print("wrote", path.replace(".csv", ".png"))
 '''
 
 
-# the commands that read only [model] and the keys listed; setting any other key is an error
+# the commands that read only [model] and the keys listed; setting any other key is an
+# error. trajgen also reads the [traj] keys of the kind it generates
 MODEL_ONLY_COMMANDS = {
     "study": (),
     "benchmark": ("qp.block_size",),
-    "trajgen": tuple(f"traj.{key}" for key in DEFAULTS["traj"]),
+    "trajgen": ("traj.kind",),
 }
 
 
-def _reject_unread_settings(command: str, rc: RunConfig) -> None:
-    reads = MODEL_ONLY_COMMANDS[command]
+def _reject_unread_settings(args, rc: RunConfig) -> None:
+    command, reads = args.command, MODEL_ONLY_COMMANDS[args.command]
+    if command == "trajgen":
+        kind = rc.get("traj", "kind")
+        if args.kind and kind not in (args.kind, DEFAULTS["traj"]["kind"]):
+            raise ConfigError(f"traj.kind={kind} disagrees with the kind {args.kind} given")
+        kind = args.kind or kind
+        command = f"trajgen {kind}"
+        reads += tuple(f"traj.{key}" for key in TRAJECTORIES[kind][1])
     unread = [
         f"{section}.{key}"
         for section, keys in rc.values.items() if section != "model"
@@ -315,7 +323,7 @@ def main(argv=None) -> int:
     try:
         rc = RunConfig.load(args.config, args.set or [])
         if args.command in MODEL_ONLY_COMMANDS:
-            _reject_unread_settings(args.command, rc)
+            _reject_unread_settings(args, rc)
         return args.func(args, rc, _out_dir(args))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -13,7 +13,11 @@ is linear in the number of stages. Partial condensing eliminates the
 intermediate states in blocks of ``M`` stages before it runs; the
 "dense" pipeline is full condensing (``M = N``), where the fixed initial
 state is eliminated and the recursion reduces to one dense Cholesky
-factorization per iteration (cubic in horizon times input size).
+factorization per iteration (cubic in horizon times input size). Such a
+one-stage QP skips all per-stage work: an iteration is that
+factorization, two ``dpotrs`` solves with a few products of the stage-0
+blocks, a rewrite of the barrier diagonal in a buffer the solve keeps,
+and the whole-array residual and step-length bookkeeping.
 
 The stage data is held as stacked arrays with the stage index first, so
 residuals, complementarity and step lengths are whole-array operations;
@@ -40,7 +44,8 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 
 class QpNumericalError(RuntimeError):
-    """A factorization inside the solver failed beyond recoverable regularization."""
+    """The interior point cannot go on: a factorization failed beyond recoverable
+    regularization, an iterate went non-finite, or a bound slack reached zero."""
 
 
 # the interior point's default stopping tolerance and iteration limit
@@ -331,8 +336,11 @@ def expand(sol: QpSolution, cond: CondensedQp) -> QpSolution:
 
     Eliminated states come from forward simulation of the affine
     dynamics, eliminated equality multipliers from the backward
-    stationarity recursion, both run for all blocks at once; input bound
-    multipliers transfer directly. Padded inert inputs are dropped.
+    stationarity recursion, both run for all blocks at once. The input
+    and gradient terms of every stage are formed in one product each
+    beforehand, so a step of either recursion is one product and one add.
+    Input bound multipliers transfer directly. Padded inert inputs are
+    dropped.
     """
     qp = cond.original
     M = cond.block_size
@@ -345,14 +353,18 @@ def expand(sol: QpSolution, cond: CondensedQp) -> QpSolution:
     U = sol.u.reshape(nb, M, nu)
     X = np.empty((nb, M, nx))
     X[:, 0] = sol.x[:-1]
+    # the input and constant terms of every step at once: x_{j+1} = A_j x_j + (B_j u_j + c_j)
+    drift = _mv(B, U) + c
     for j in range(M - 1):
-        X[:, j + 1] = _mv(A[:, j], X[:, j]) + _mv(B[:, j], U[:, j]) + c[:, j]
-    # column M holds the multiplier of the next block's first state
+        np.add(_mv(A[:, j], X[:, j]), drift[:, j], out=X[:, j + 1])
+    # column M holds the multiplier of the next block's first state;
+    # p_j = A_j' p_{j+1} + (Q_j x_j + q_j)
     P = np.empty((nb, M + 1, nx))
     P[:, 0] = sol.pi[:-1]
     P[:, M] = sol.pi[1:]
+    gradient = _mv(Q, X) + q
     for j in range(M - 1, 0, -1):
-        P[:, j] = _mv(Q[:, j], X[:, j]) + q[:, j] + _mtv(A[:, j], P[:, j + 1])
+        np.add(_mtv(A[:, j], P[:, j + 1]), gradient[:, j], out=P[:, j])
     out = QpSolution(
         x=np.concatenate([X.reshape(-1, nx)[:N], sol.x[-1:]]),
         u=sol.u.reshape(-1, nu)[:N],
@@ -397,35 +409,40 @@ class _RiccatiSweep:
     closed-loop matrices ``A_i + B_i K_i`` are formed for all of them after
     the loop. The initial state is fixed, so stage 0 keeps only the
     Cholesky factor of ``G_0`` and the rest of its ``M``: no inverse, gain
-    or cost-to-go. On a fully condensed QP the sweep is therefore one dense
-    Cholesky factorization. One sweep serves both the predictor and the
-    corrector right-hand sides.
+    or cost-to-go. One sweep serves both the predictor and the corrector
+    right-hand sides.
+
+    A fully condensed QP has stage 0 alone, and the stages after it are
+    skipped, not run on empty arrays: its sweep is one dense Cholesky
+    factorization, and its solve one ``dpotrs`` plus a few products with
+    the stage-0 blocks.
     """
 
     def __init__(self, A, B, BA, W, Q_N):
         N, nx, nu = B.shape
         self.B, self.A0, self.BA0 = B, A[0], BA[0]
         self.P = P = np.empty((N + 1, nx, nx))
-        L_inv = np.empty((N - 1, nu, nu))
-        V = np.empty((N - 1, nu, nx))
         P[N] = Q_N
         M = W[N - 1]
-        for i in range(N - 1, 0, -1):
-            L_inv[i - 1] = Li = dtrtri(_cholesky(M[:nu, :nu]), lower=1)[0]
-            V[i - 1] = Vi = Li @ M[:nu, nu:]
-            Pi = M[nu:, nu:] - Vi.T @ Vi
-            np.add(Pi, Pi.T, out=P[i])
-            P[i] *= 0.5
-            M = BA[i - 1].T @ (P[i] @ BA[i - 1])
-            M += W[i - 1]
+        if N > 1:
+            L_inv = np.empty((N - 1, nu, nu))
+            V = np.empty((N - 1, nu, nx))
+            for i in range(N - 1, 0, -1):
+                L_inv[i - 1] = Li = dtrtri(_cholesky(M[:nu, :nu]), lower=1)[0]
+                V[i - 1] = Vi = Li @ M[:nu, nu:]
+                Pi = M[nu:, nu:] - Vi.T @ Vi
+                np.add(Pi, Pi.T, out=P[i])
+                P[i] *= 0.5
+                M = BA[i - 1].T @ (P[i] @ BA[i - 1])
+                M += W[i - 1]
+            L_invT = L_inv.swapaxes(1, 2)
+            self.G_inv = L_invT @ L_inv
+            self.K = K = -(L_invT @ V)
+            self.A_cl = A[1:] + B[1:] @ K
         self.L0 = _cholesky(M[:nu, :nu])
         self.H0, self.M0x = M[:nu, nu:], M[nu:]
-        L_invT = L_inv.swapaxes(1, 2)
-        self.G_inv = L_invT @ L_inv
-        self.K = K = -(L_invT @ V)
-        self.A_cl = A[1:] + B[1:] @ K
 
-    def solve(self, rx, ru, re):
+    def solve(self, rx, ru, re, duals=True):
         """Newton direction for right-hand sides (−rx, −ru, −re).
 
         Backward, ``p_i = a_i + (A_i + B_i K_i)' p_{i+1}`` down to stage 1;
@@ -433,33 +450,39 @@ class _RiccatiSweep:
         forward, ``dx_{i+1} = (A_i + B_i K_i) dx_i + e_i``; ``dpi_0`` from
         the stationarity of stage 0, whose ``M`` rows carry ``A_0' P_1``.
         The offsets ``a`` and ``e``, the feedforward ``k`` and the other
-        steps are whole-array operations.
+        steps are whole-array operations. Returns ``(dx, du, dpi)``, or
+        ``(dx, du)`` without the multiplier step when ``duals`` is false.
         """
-        P, K, A_cl, B = self.P, self.K, self.A_cl, self.B
+        P, B = self.P, self.B
         N, _, nu = B.shape
         Pre = _mv(P[1:], re[1:])
-        a = rx[1:N] + _mtv(K, ru[1:]) - _mtv(A_cl, Pre[1:])
         p = np.empty_like(rx)
         p[N] = v = rx[N]
-        for i in range(N - 1, 0, -1):
-            p[i] = v = a[i - 1] + v @ A_cl[i - 1]
+        if N > 1:
+            K, A_cl = self.K, self.A_cl
+            a = rx[1:N] + _mtv(K, ru[1:]) - _mtv(A_cl, Pre[1:])
+            for i in range(N - 1, 0, -1):
+                p[i] = v = a[i - 1] + np.dot(v, A_cl[i - 1])
         m = p[1:] - Pre
-        g = ru + _mtv(B, m)
         # w0 = (du_0, dx_0), with dx_0 = -re_0
-        w0 = np.concatenate((dpotrs(self.L0, self.H0 @ re[0] - g[0], lower=1)[0], -re[0]))
-        k = -_mv(self.G_inv, g[1:])
-        e = _mv(B[1:], k) - re[2:]
+        g0 = ru[0] + np.dot(m[0], B[0])
+        w0 = np.concatenate((dpotrs(self.L0, np.dot(self.H0, re[0]) - g0, lower=1)[0], -re[0]))
         dx = np.empty_like(rx)
-        dx[0] = w0[nu:]
-        dx[1] = v = self.BA0 @ w0 - re[1]
-        for i in range(N - 1):
-            dx[i + 2] = v = A_cl[i] @ v + e[i]
         du = np.empty_like(ru)
+        dx[0] = w0[nu:]
+        dx[1] = v = np.dot(self.BA0, w0) - re[1]
         du[0] = w0[:nu]
-        du[1:] = _mv(K, dx[1:-1]) + k
+        if N > 1:
+            k = -_mv(self.G_inv, ru[1:] + _mtv(B[1:], m[1:]))
+            e = _mv(B[1:], k) - re[2:]
+            for i in range(N - 1):
+                dx[i + 2] = v = np.dot(A_cl[i], v) + e[i]
+            du[1:] = _mv(K, dx[1:-1]) + k
+        if not duals:
+            return dx, du
         dpi = np.empty_like(rx)
         dpi[1:] = _mv(P[1:], dx[1:]) + p[1:]
-        dpi[0] = rx[0] + self.M0x @ w0 + m[0] @ self.A0
+        dpi[0] = rx[0] + np.dot(self.M0x, w0) + np.dot(m[0], self.A0)
         return dx, du, dpi
 
 
@@ -467,13 +490,21 @@ class _RiccatiSweep:
 _SIDE = np.array([1.0, -1.0])[:, None, None]
 
 
-def _barrier_hessians(W: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Stage Hessians ``W`` with the barrier diagonal ``D (N, nu)`` added to the input block."""
+def _add_barrier(W_bar: np.ndarray, W: np.ndarray, D: np.ndarray) -> None:
+    """Write the input diagonal of the stage Hessians ``W`` plus the barrier ``D (N, nu)``
+    into ``W_bar``, a buffer that equals ``W`` everywhere else; nothing else is written."""
     N, nu = D.shape
-    step = W.shape[1] + 1
-    W_bar = W.copy()
-    W_bar.reshape(N, -1)[:, : nu * step : step] += D
-    return W_bar
+    diagonal = np.s_[:, : nu * (W.shape[1] + 1) : W.shape[1] + 1]
+    np.add(W.reshape(N, -1)[diagonal], D, out=W_bar.reshape(N, -1)[diagonal])
+
+
+def _zero_slack(s: np.ndarray) -> str:
+    """The error for the first bound slack of ``s (2, N, nu)`` that is not positive."""
+    side, i, j = np.unravel_index(np.argmin(s > 0.0), s.shape)
+    return (
+        f"the {('lower', 'upper')[side]} bound slack of input {j} at stage {i} reached "
+        f"{s[side, i, j]:.3g}, so the barrier diagonal lam / s is not finite"
+    )
 
 
 def _step_to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
@@ -543,9 +574,11 @@ def prepare_riccati_ipm(qp: OcpQp) -> IpmStart:
     lam = 1.0 / np.maximum(s, 1e-2)
     sweep = error = None
     t0 = time.perf_counter_ns()
+    W_bar = W.copy()
     try:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            sweep = _RiccatiSweep(qp.A, qp.B, BA, _barrier_hessians(W, (lam / s).sum(0)), qp.Q_N)
+            _add_barrier(W_bar, W, (lam / s).sum(0))
+            sweep = _RiccatiSweep(qp.A, qp.B, BA, W_bar, qp.Q_N)
     except QpNumericalError as exc:
         error = exc
     linalg_us = (time.perf_counter_ns() - t0) / 1000.0
@@ -569,8 +602,9 @@ def solve_riccati_ipm(
     first factorization only when the solve prepared the start itself.
 
     Raises :class:`QpNumericalError` if a recursion block stays
-    indefinite after one shot of regularization, or if iterates go
-    non-finite. Hitting ``max_iters`` is reported through ``status``
+    indefinite after one shot of regularization, if iterates go
+    non-finite, or if a bound slack rounds to zero before a factorization
+    (the message names that slack). Hitting ``max_iters`` is reported through ``status``
     with the best iterate, not raised.
     """
     return _ipm(qp, tol, max_iters, start)
@@ -583,7 +617,9 @@ def solve_condensed_dense(
 
     The interior point of :func:`solve_riccati_ipm`, on one stage: with
     the initial state eliminated and the terminal product prepared, each
-    iteration factorizes the dense ``R_bar + B' Q_N B`` once by Cholesky.
+    iteration factorizes the dense ``R_bar + B' Q_N B`` once by Cholesky
+    and solves with that factor twice, once for the predictor's input step
+    and once for the corrector's full step; no per-stage recursion runs.
     The solution is that of ``cqp``; :func:`expand` maps it back to the
     original stages. The separate name keeps an iteration count taken at
     :func:`solve_riccati_ipm` to the banded pipeline.
@@ -610,8 +646,10 @@ def _ipm(qp: OcpQp, tol: float, max_iters: int, start: IpmStart | None) -> QpSol
     x = np.empty((N + 1, nx))
     x[0] = qp.x0_residual
     for i in range(N):
-        x[i + 1] = qp.A[i] @ x[i] + start.f[i]
+        x[i + 1] = np.dot(qp.A[i], x[i]) + start.f[i]
     pi = np.zeros((N + 1, nx))
+    # the barrier Hessians of every iteration, of which only the input diagonal changes
+    W_bar = start.W.copy()
     # slacks and bound duals side by side, for one step-to-boundary test
     v = np.empty((2,) + start.lam.shape)
     s, lam = v
@@ -641,15 +679,18 @@ def _ipm(qp: OcpQp, tol: float, max_iters: int, start: IpmStart | None) -> QpSol
                 raise start.error
             sweep = start.sweep
         else:
+            if s.min() <= 0.0:
+                raise QpNumericalError(_zero_slack(s))
             t0 = time.perf_counter_ns()
-            W_bar = _barrier_hessians(start.W, (lam / s).sum(0))
+            _add_barrier(W_bar, start.W, (lam / s).sum(0))
             sweep = _RiccatiSweep(qp.A, qp.B, start.BA, W_bar, qp.Q_N)
             linalg_ns += time.perf_counter_ns() - t0
 
-        # predictor: pure Newton step on the unperturbed KKT system
+        # predictor: pure Newton step on the unperturbed KKT system; only
+        # its input step is used
         g = rc / s
         t0 = time.perf_counter_ns()
-        dx_a, du_a, dpi_a = sweep.solve(rx, ru + g[0] - g[1], re)
+        du_a = sweep.solve(rx, ru + g[0] - g[1], re, duals=False)[1]
         linalg_ns += time.perf_counter_ns() - t0
         dv_a = _bound_steps(du_a, rc, s, lam)
 

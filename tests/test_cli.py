@@ -321,6 +321,27 @@ class TestCli:
         assert len(src.rows) == 1001
         np.testing.assert_allclose(src.rows[0, :3], [0.3, 0.0, 0.38], atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["trajgen", "helix", "--set", "traj.N=100"], "traj.N"),
+            (["trajgen", "smooth_step", "--set", "traj.r=0.4"], "traj.r"),
+            (["trajgen", "--set", "traj.kind=helix", "--set", "traj.T=3"], "traj.T"),
+            (["trajgen", "smooth_step", "--set", "traj.kind=helix"], "traj.kind"),
+        ],
+    )
+    def test_trajgen_rejects_traj_keys_its_kind_does_not_read(self, argv, key, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_trajgen_kind_from_the_configuration(self, tmp_path):
+        argv = ["trajgen", "--set", "traj.kind=helix", "--set", "traj.r=0.4"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        src = read_reference_csv(tmp_path / "helix.csv", QuadrotorParams())
+        assert src.rows[0, 0] == pytest.approx(0.4)
+
     def test_trajgen_unknown_kind(self, tmp_path):
         code = main(["trajgen", "corkscrew", "--out", str(tmp_path)])
         assert code == 2

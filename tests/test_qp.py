@@ -18,7 +18,7 @@ from quadnmpc.qp import (
     OcpQp,
     QpNumericalError,
     QpSolution,
-    _barrier_hessians,
+    _add_barrier,
     _RiccatiSweep,
     expand,
     kkt_residuals,
@@ -63,6 +63,15 @@ def make_random_qp(rng, N=4, nx=3, nu=2, bound_scale=1.0):
         q_N=rng.normal(size=nx),
         x0_residual=rng.normal(size=nx) * 0.5,
     )
+
+
+def start_arrays(start):
+    """Every array of an ``IpmStart`` and of its prepared sweep, by name."""
+    return {
+        f"{owner}.{name}": value
+        for owner, obj in (("start", start), ("sweep", start.sweep))
+        for name, value in vars(obj).items() if isinstance(value, np.ndarray)
+    }
 
 
 class TestDataModel:
@@ -173,12 +182,17 @@ class TestRiccatiIpm:
             qp.x0_residual[:] = np.nan  # the start must not read it
             start = prepare_riccati_ipm(qp)
             qp.x0_residual[:] = x0
+            arrays = start_arrays(start)
+            before = {name: value.copy() for name, value in arrays.items()}
             plain = solve_riccati_ipm(qp, 1e-8, 50)
             for _ in range(2):  # a start is not consumed by a solve
                 sol = solve_riccati_ipm(qp, 1e-8, 50, start)
                 assert sol.iters == plain.iters and sol.status == plain.status
                 for name in ("x", "u", "pi", "lam_lo", "lam_hi"):
                     np.testing.assert_array_equal(getattr(sol, name), getattr(plain, name))
+            # nor changed: the solves write their barrier Hessians into a buffer of their own
+            for name, value in arrays.items():
+                assert np.array_equal(value, before[name]), name
 
     def test_prepared_factorization_failure_raises_in_the_solve(self, rng):
         qp = make_random_qp(rng, N=2)
@@ -187,6 +201,14 @@ class TestRiccatiIpm:
         assert start.sweep is None and isinstance(start.error, QpNumericalError)
         with pytest.raises(QpNumericalError):
             solve_riccati_ipm(qp, 1e-8, 50, start)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_zero_slack_raises_naming_it(self, seed):
+        # at tol 0 the loop runs on until an active bound's slack rounds to zero;
+        # the solve then stops before it factorizes an infinite barrier diagonal
+        qp = make_random_qp(np.random.default_rng(seed), N=6, nx=3, nu=2, bound_scale=0.1)
+        with pytest.raises(QpNumericalError, match=r"bound slack of input \d at stage \d reached"):
+            solve_riccati_ipm(qp, tol=0.0)
 
     def test_agrees_with_enumeration_oracle(self, rng):
         for _ in range(25):
@@ -238,11 +260,16 @@ class TestDenseIpm:
     def test_prepared_start_gives_the_same_iterates(self, rng):
         cqp = partial_condense(make_random_qp(rng, N=6), 6).qp
         start = prepare_riccati_ipm(cqp)
+        before = {name: value.copy() for name, value in start_arrays(start).items()}
         a = solve_condensed_dense(cqp, 1e-8, 50, start)
-        b = solve_condensed_dense(cqp)
+        b = solve_condensed_dense(cqp, 1e-8, 50, start)
+        c = solve_condensed_dense(cqp)
         for name in ("x", "u", "pi", "lam_lo", "lam_hi"):
-            assert np.array_equal(getattr(a, name), getattr(b, name)), name
-        assert a.iters == b.iters
+            assert np.array_equal(getattr(a, name), getattr(c, name)), name
+            assert np.array_equal(getattr(b, name), getattr(c, name)), name
+        assert a.iters == b.iters == c.iters > 1
+        for name, value in start_arrays(start).items():
+            assert np.array_equal(value, before[name]), name
 
     def test_rejects_a_qp_that_is_not_fully_condensed(self, rng):
         with pytest.raises(ValueError):
@@ -441,18 +468,12 @@ class TestIpmResiduals:
         assert sol.residuals == kkt_residuals(cqp, sol)
 
 
-@st.composite
-def newton_systems(draw):
+def newton_system(seed, N, M, nx, nu, zero_Q, zero_Q_N):
     """A partially condensed QP (ragged blocks padded), a barrier diagonal and right-hand sides."""
-    N = draw(st.integers(1, 12))
-    M = draw(st.integers(1, N))
-    nx = draw(st.integers(1, 4))
-    nu = draw(st.integers(1, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(seed)
     qp = make_random_qp(rng, N=N, nx=nx, nu=nu)
-    zero_Q = draw(st.lists(st.booleans(), min_size=N, max_size=N))
-    qp.Q[np.array(zero_Q)] = 0.0
-    if draw(st.booleans()):
+    qp.Q[np.array(zero_Q, dtype=bool)] = 0.0
+    if zero_Q_N:
         qp.Q_N[:] = 0.0
     cqp = partial_condense(qp, M).qp
     nb, nU = cqp.num_stages, cqp.nu
@@ -461,16 +482,51 @@ def newton_systems(draw):
     return cqp, D, rhs
 
 
+@st.composite
+def newton_systems(draw):
+    """:func:`newton_system` over drawn sizes, block size and zero state costs."""
+    N = draw(st.integers(1, 12))
+    M = draw(st.integers(1, N))
+    nx = draw(st.integers(1, 4))
+    nu = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    zero_Q = draw(st.lists(st.booleans(), min_size=N, max_size=N))
+    return newton_system(seed, N, M, nx, nu, zero_Q, draw(st.booleans()))
+
+
+def sweep_of(qp, D):
+    """The sweep of ``qp``'s Newton matrix with the barrier diagonal ``D``."""
+    start = prepare_riccati_ipm(qp)
+    W_bar = start.W.copy()
+    _add_barrier(W_bar, start.W, D)
+    return _RiccatiSweep(qp.A, qp.B, start.BA, W_bar, qp.Q_N)
+
+
 class TestRiccatiSweep:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(newton_systems())
+    # one-stage sweeps (M = N, fully condensed), with and without a terminal cost
+    @example(newton_system(3, N=1, M=1, nx=3, nu=2, zero_Q=[False], zero_Q_N=False))
+    @example(newton_system(4, N=8, M=8, nx=4, nu=3, zero_Q=[False] * 8, zero_Q_N=False))
+    @example(newton_system(5, N=8, M=8, nx=4, nu=3, zero_Q=[False] * 8, zero_Q_N=True))
+    @example(newton_system(6, N=5, M=5, nx=2, nu=1, zero_Q=[True] * 5, zero_Q_N=True))
     def test_matches_per_stage_reference(self, case):
         qp, D, (rx, ru, re) = case
         R_bar = qp.R.copy()
         R_bar[:, range(qp.nu), range(qp.nu)] += D
         expected = RiccatiSweepReference(qp, R_bar).solve(rx, ru, re)
-        start = prepare_riccati_ipm(qp)
-        sweep = _RiccatiSweep(qp.A, qp.B, start.BA, _barrier_hessians(start.W, D), qp.Q_N)
-        for got, ref in zip(sweep.solve(rx, ru, re), expected):
+        for got, ref in zip(sweep_of(qp, D).solve(rx, ru, re), expected):
             scale = max(1.0, np.abs(ref).max())
             assert np.abs(got - ref).max() <= 1e-12 * scale
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(newton_systems())
+    @example(newton_system(3, N=6, M=6, nx=3, nu=2, zero_Q=[False] * 6, zero_Q_N=False))
+    def test_primal_only_solve_matches_the_full_solve(self, case):
+        # the predictor's solve skips the multiplier step and nothing else
+        qp, D, rhs = case
+        sweep = sweep_of(qp, D)
+        dx, du, _ = sweep.solve(*rhs)
+        primal = sweep.solve(*rhs, duals=False)
+        assert len(primal) == 2
+        assert np.array_equal(primal[0], dx) and np.array_equal(primal[1], du)
