@@ -21,7 +21,11 @@ and the whole-array residual and step-length bookkeeping.
 
 The stage data is held as stacked arrays with the stage index first, so
 residuals, complementarity and step lengths are whole-array operations;
-only the Riccati sweeps and the condensing recursions loop over stages.
+only the backward Riccati factorization and the condensing recursions
+loop over stages. The interior point's stage recursions (the Newton
+solve's backward and forward ones and the starting rollout) are each one
+banded triangular solve, and its point and step each live in one array
+for the whole solve.
 
 In an SQP the variables are deviations from the linearization
 trajectory ``(X, U)``, and the continuity constant is its shooting defect
@@ -40,7 +44,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
+from scipy.linalg.lapack import dpotrf, dpotrs, dtbtrs, dtrtri
 
 
 class QpNumericalError(RuntimeError):
@@ -384,14 +388,41 @@ def expand(sol: QpSolution, cond: CondensedQp) -> QpSolution:
 # ---------------------------------------------------------------------------
 
 
-def _cholesky(G: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of ``G``, retried once with regularization."""
-    L, info = dpotrf(G, lower=1)
+def _regularized_cholesky(G: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of ``G`` plus a small regularization, for when
+    ``dpotrf`` failed on ``G`` itself."""
+    L, info = dpotrf(G + _REGULARIZATION * np.eye(G.shape[0]), lower=1)
     if info:
-        L, info = dpotrf(G + _REGULARIZATION * np.eye(G.shape[0]), lower=1)
-        if info:
-            raise QpNumericalError("recursion block not positive definite")
+        raise QpNumericalError("recursion block not positive definite")
     return L
+
+
+def _unit_lower_band(C: np.ndarray) -> np.ndarray:
+    """LAPACK band storage of the unit lower block-bidiagonal matrix with ``-C[k]``
+    below diagonal block ``k``, for ``dtbtrs`` with ``uplo="L"``, ``diag="U"``.
+
+    Solving with it runs the recursion ``y_{k+1} = C_k y_k + b_{k+1}`` from
+    ``y_0 = b_0``; solving with its transpose runs
+    ``y_k = C_k' y_{k+1} + b_k`` back from ``y_n = b_n``. The matrix has
+    ``2 nx - 1`` sub-diagonals; the band is (2 nx, (n + 1) nx), in Fortran
+    order, with the unit diagonal in its first row left unreferenced.
+    """
+    n, nx, _ = C.shape
+    band = np.zeros(((n + 1) * nx, 2 * nx))
+    # entry (r, c) of block k sits in row k nx + c of the buffer, at column nx + r - c
+    item = band.itemsize
+    blocks = np.ndarray(
+        (n, nx, nx), buffer=band, offset=nx * item,
+        strides=(2 * nx * nx * item, item, (2 * nx - 1) * item),
+    )
+    np.negative(C, out=blocks)
+    return band.T
+
+
+def _band_solve(band: np.ndarray, y: np.ndarray, trans: str = "N") -> None:
+    """Overwrite the stacked right-hand sides ``y (n + 1, nx)``, a C-contiguous array,
+    with the solution of ``band`` (``trans="T"``: its transpose) from :func:`_unit_lower_band`."""
+    dtbtrs(band, y.reshape(-1), uplo="L", trans=trans, diag="U", overwrite_b=1)
 
 
 class _RiccatiSweep:
@@ -405,12 +436,13 @@ class _RiccatiSweep:
     ``W`` itself. Every stage after the first factorizes its input block
     ``G_i = L_i L_i'`` and inverts the factor, so that with
     ``V_i = L_i^-1 H_i`` the next cost-to-go is ``P_i = Q_bar_i - V_i' V_i``;
-    the gains ``K_i = -G_i^-1 H_i``, the inverse input blocks and the
-    closed-loop matrices ``A_i + B_i K_i`` are formed for all of them after
-    the loop. The initial state is fixed, so stage 0 keeps only the
-    Cholesky factor of ``G_0`` and the rest of its ``M``: no inverse, gain
-    or cost-to-go. One sweep serves both the predictor and the corrector
-    right-hand sides.
+    the gains ``K_i = -G_i^-1 H_i``, the inverse input blocks, the
+    closed-loop matrices ``A_i + B_i K_i`` and the band of the solve's two
+    recursions (:func:`_unit_lower_band` of the closed-loop matrices) are
+    formed for all of them after the loop. The initial state is fixed, so
+    stage 0 keeps only the Cholesky factor of ``G_0`` and the rest of its
+    ``M``: no inverse, gain or cost-to-go. One sweep serves both the
+    predictor and the corrector right-hand sides.
 
     A fully condensed QP has stage 0 alone, and the stages after it are
     skipped, not run on empty arrays: its sweep is one dense Cholesky
@@ -428,8 +460,11 @@ class _RiccatiSweep:
             L_inv = np.empty((N - 1, nu, nu))
             V = np.empty((N - 1, nu, nx))
             for i in range(N - 1, 0, -1):
-                L_inv[i - 1] = Li = dtrtri(_cholesky(M[:nu, :nu]), lower=1)[0]
-                V[i - 1] = Vi = Li @ M[:nu, nu:]
+                L, info = dpotrf(M[:nu, :nu], lower=1)
+                if info:
+                    L = _regularized_cholesky(M[:nu, :nu])
+                L_inv[i - 1] = Li = dtrtri(L, lower=1)[0]
+                Vi = np.matmul(Li, M[:nu, nu:], out=V[i - 1])
                 Pi = M[nu:, nu:] - Vi.T @ Vi
                 np.add(Pi, Pi.T, out=P[i])
                 P[i] *= 0.5
@@ -439,51 +474,49 @@ class _RiccatiSweep:
             self.G_inv = L_invT @ L_inv
             self.K = K = -(L_invT @ V)
             self.A_cl = A[1:] + B[1:] @ K
-        self.L0 = _cholesky(M[:nu, :nu])
+            self.band = _unit_lower_band(self.A_cl)
+        L, info = dpotrf(M[:nu, :nu], lower=1)
+        self.L0 = _regularized_cholesky(M[:nu, :nu]) if info else L
         self.H0, self.M0x = M[:nu, nu:], M[nu:]
 
-    def solve(self, rx, ru, re, duals=True):
-        """Newton direction for right-hand sides (−rx, −ru, −re).
+    def solve(self, rx, ru, re, dx, du, dpi=None):
+        """Write the Newton direction for right-hand sides (−rx, −ru, −re) into
+        ``dx``, ``du`` and, unless it is ``None``, ``dpi``.
 
         Backward, ``p_i = a_i + (A_i + B_i K_i)' p_{i+1}`` down to stage 1;
         ``du_0`` from one solve with ``G_0`` at the fixed ``dx_0 = -re_0``;
         forward, ``dx_{i+1} = (A_i + B_i K_i) dx_i + e_i``; ``dpi_0`` from
         the stationarity of stage 0, whose ``M`` rows carry ``A_0' P_1``.
-        The offsets ``a`` and ``e``, the feedforward ``k`` and the other
-        steps are whole-array operations. Returns ``(dx, du, dpi)``, or
-        ``(dx, du)`` without the multiplier step when ``duals`` is false.
+        Each recursion is one banded triangular solve (``dtbtrs``) with the
+        sweep's band, the backward one transposed; the offsets ``a`` and
+        ``e``, the feedforward ``k`` and the other steps are whole-array
+        operations. ``dx`` must be C-contiguous.
         """
         P, B = self.P, self.B
         N, _, nu = B.shape
         Pre = _mv(P[1:], re[1:])
-        p = np.empty_like(rx)
-        p[N] = v = rx[N]
+        # p[i - 1] = p_i, i = 1..N
+        p = np.empty((N, rx.shape[1]))
+        p[N - 1] = rx[N]
         if N > 1:
-            K, A_cl = self.K, self.A_cl
-            a = rx[1:N] + _mtv(K, ru[1:]) - _mtv(A_cl, Pre[1:])
-            for i in range(N - 1, 0, -1):
-                p[i] = v = a[i - 1] + np.dot(v, A_cl[i - 1])
-        m = p[1:] - Pre
+            K = self.K
+            np.subtract(rx[1:N] + _mtv(K, ru[1:]), _mtv(self.A_cl, Pre[1:]), out=p[:-1])
+            _band_solve(self.band, p, "T")
+        m = p - Pre
         # w0 = (du_0, dx_0), with dx_0 = -re_0
         g0 = ru[0] + np.dot(m[0], B[0])
         w0 = np.concatenate((dpotrs(self.L0, np.dot(self.H0, re[0]) - g0, lower=1)[0], -re[0]))
-        dx = np.empty_like(rx)
-        du = np.empty_like(ru)
         dx[0] = w0[nu:]
-        dx[1] = v = np.dot(self.BA0, w0) - re[1]
+        dx[1] = np.dot(self.BA0, w0) - re[1]
         du[0] = w0[:nu]
         if N > 1:
             k = -_mv(self.G_inv, ru[1:] + _mtv(B[1:], m[1:]))
-            e = _mv(B[1:], k) - re[2:]
-            for i in range(N - 1):
-                dx[i + 2] = v = np.dot(A_cl[i], v) + e[i]
-            du[1:] = _mv(K, dx[1:-1]) + k
-        if not duals:
-            return dx, du
-        dpi = np.empty_like(rx)
-        dpi[1:] = _mv(P[1:], dx[1:]) + p[1:]
-        dpi[0] = rx[0] + np.dot(self.M0x, w0) + np.dot(m[0], self.A0)
-        return dx, du, dpi
+            np.subtract(_mv(B[1:], k), re[2:], out=dx[2:])
+            _band_solve(self.band, dx[1:])
+            np.add(_mv(K, dx[1:-1]), k, out=du[1:])
+        if dpi is not None:
+            np.add(_mv(P[1:], dx[1:]), p, out=dpi[1:])
+            dpi[0] = rx[0] + np.dot(self.M0x, w0) + np.dot(m[0], self.A0)
 
 
 # +1 for the lower bound slack u - lb, -1 for the upper one ub - u
@@ -507,20 +540,20 @@ def _zero_slack(s: np.ndarray) -> str:
     )
 
 
-def _step_to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
-    """Largest alpha with ``v + alpha dv >= 0`` in every entry, for strictly positive ``v``.
-
-    The result is infinite when no entry of ``dv`` is negative.
-    """
-    return float(np.where(dv < 0, -v / dv, np.inf).min())
-
-
-def _bound_steps(du: np.ndarray, rc: np.ndarray, s: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Slack and dual steps ``(ds, dlam)``, stacked (2, 2, N, nu), of the input step ``du``."""
-    dv = np.empty((2,) + s.shape)
+def _bound_steps(du, rc, s, lam, dv: np.ndarray) -> None:
+    """Write the slack and dual steps ``(ds, dlam)`` of the input step ``du`` into
+    ``dv (2, 2, N, nu)``, for complementarity residuals ``rc``, slacks ``s`` and duals ``lam``."""
     np.multiply(_SIDE, du, out=dv[0])
     np.divide(-(rc + lam * dv[0]), s, out=dv[1])
-    return dv
+
+
+def _step_to_boundary(v: np.ndarray, dv: np.ndarray, fraction: float) -> float:
+    """``fraction`` of the largest ``alpha`` with ``v + alpha dv >= 0`` in every entry, at most 1.
+
+    For strictly positive ``v`` the largest step is ``1 / max(-dv / v)``,
+    unbounded when no entry of ``dv`` is negative.
+    """
+    return fraction / max(fraction, -float((dv / v).min()))
 
 
 @dataclass
@@ -531,18 +564,20 @@ class IpmStart:
     ``W (N,nu+nx,nu+nx)`` the stacked stage data ``[B A]`` and
     ``[[R, S], [S', Q]]``, the last stage's with the terminal product
     ``[B A]' Q_N [B A]`` added, ``f`` the drift ``B u + c`` of the starting
-    inputs ``u``, ``bounds`` and ``lam (2,N,nu)`` the lower and upper
-    bounds and their starting duals. ``sweep`` is the factorization of the
-    first Newton matrix, or ``None`` with the factorization's error kept
-    in ``error``; ``linalg_us`` is the time it took. A start is valid for
-    the QP it was prepared from, whatever its ``x0_residual``, and is not
-    modified by a solve.
+    inputs ``u``, ``rollout`` the band (:func:`_unit_lower_band` of ``A``)
+    that rolls them out from the initial state, ``bounds`` and
+    ``lam (2,N,nu)`` the lower and upper bounds and their starting duals.
+    ``sweep`` is the factorization of the first Newton matrix, or ``None``
+    with the factorization's error kept in ``error``; ``linalg_us`` is the
+    time it took. A start is valid for the QP it was prepared from,
+    whatever its ``x0_residual``, and is not modified by a solve.
     """
 
     BA: np.ndarray
     W: np.ndarray
     f: np.ndarray
     u: np.ndarray
+    rollout: np.ndarray
     bounds: np.ndarray
     lam: np.ndarray
     sweep: _RiccatiSweep | None
@@ -582,7 +617,10 @@ def prepare_riccati_ipm(qp: OcpQp) -> IpmStart:
     except QpNumericalError as exc:
         error = exc
     linalg_us = (time.perf_counter_ns() - t0) / 1000.0
-    return IpmStart(BA, W, _mv(qp.B, u) + qp.c, u, bounds, lam, sweep, error, linalg_us)
+    return IpmStart(
+        BA, W, _mv(qp.B, u) + qp.c, u, _unit_lower_band(qp.A), bounds, lam, sweep, error,
+        linalg_us,
+    )
 
 
 def solve_riccati_ipm(
@@ -629,8 +667,21 @@ def solve_condensed_dense(
     return _ipm(cqp, tol, max_iters, start)
 
 
+def _point(z: np.ndarray, N: int, nx: int, nu: int):
+    """Views ``x, pi (N+1, nx)``, ``u (N, nu)`` and the bound slacks and duals
+    ``v (2, 2, N, nu)`` of a primal-dual point held in one array ``z``."""
+    n_x, n_u = (N + 1) * nx, N * nu
+    return (
+        z[:n_x].reshape(N + 1, nx),
+        z[n_x : 2 * n_x].reshape(N + 1, nx),
+        z[2 * n_x : 2 * n_x + n_u].reshape(N, nu),
+        z[2 * n_x + n_u :].reshape(2, 2, N, nu),
+    )
+
+
 # slack collapse on pathological data produces inf/nan that the
-# finite-residual check or the next factorization turns into QpNumericalError
+# finite-residual check turns into QpNumericalError; a slack that rounds
+# to zero raises, naming it, before the barrier diagonal is formed from it
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _ipm(qp: OcpQp, tol: float, max_iters: int, start: IpmStart | None) -> QpSolution:
     linalg_ns = 0
@@ -641,19 +692,24 @@ def _ipm(qp: OcpQp, tol: float, max_iters: int, start: IpmStart | None) -> QpSol
     bounds = start.bounds
     n_bnd = 2 * N * nu
 
+    # the point and its step, each one array: x, pi, u, then the slacks
+    # and bound duals side by side, for one step-to-boundary test
+    z = np.empty(2 * (N + 1) * nx + 5 * N * nu)
+    dz = np.empty_like(z)
+    x, pi, u, v = _point(z, N, nx, nu)
+    dx, dpi, du, dv = _point(dz, N, nx, nu)
+    s, lam = v
+    # the predictor's slack and dual steps
+    dv_a = np.empty_like(v)
     # the starting inputs rolled out feasibly from the initial state
-    u = start.u
-    x = np.empty((N + 1, nx))
     x[0] = qp.x0_residual
-    for i in range(N):
-        x[i + 1] = np.dot(qp.A[i], x[i]) + start.f[i]
-    pi = np.zeros((N + 1, nx))
+    x[1:] = start.f
+    _band_solve(start.rollout, x)
+    pi[:] = 0.0
+    u[:] = start.u
+    lam[:] = start.lam
     # the barrier Hessians of every iteration, of which only the input diagonal changes
     W_bar = start.W.copy()
-    # slacks and bound duals side by side, for one step-to-boundary test
-    v = np.empty((2,) + start.lam.shape)
-    s, lam = v
-    lam[:] = start.lam
 
     status = "max_iterations"
     iters = 0
@@ -687,33 +743,28 @@ def _ipm(qp: OcpQp, tol: float, max_iters: int, start: IpmStart | None) -> QpSol
             linalg_ns += time.perf_counter_ns() - t0
 
         # predictor: pure Newton step on the unperturbed KKT system; only
-        # its input step is used
+        # its input step is used, and the corrector overwrites dx and du
         g = rc / s
         t0 = time.perf_counter_ns()
-        du_a = sweep.solve(rx, ru + g[0] - g[1], re, duals=False)[1]
+        sweep.solve(rx, ru + g[0] - g[1], re, dx, du)
         linalg_ns += time.perf_counter_ns() - t0
-        dv_a = _bound_steps(du_a, rc, s, lam)
+        _bound_steps(du, rc, s, lam, dv_a)
 
-        alpha_aff = min(1.0, _step_to_boundary(v, dv_a))
+        alpha_aff = _step_to_boundary(v, dv_a, 1.0)
         v_aff = v + alpha_aff * dv_a
         mu_aff = float((v_aff[1] * v_aff[0]).sum()) / n_bnd
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
         # corrector: recentered with Mehrotra second-order terms
-        rc = rc + dv_a[0] * dv_a[1] - sigma * mu
+        rc += dv_a[0] * dv_a[1] - sigma * mu
         g = rc / s
         t0 = time.perf_counter_ns()
-        dx, du, dpi = sweep.solve(rx, ru + g[0] - g[1], re)
+        sweep.solve(rx, ru + g[0] - g[1], re, dx, du, dpi)
         linalg_ns += time.perf_counter_ns() - t0
-        dv = _bound_steps(du, rc, s, lam)
+        _bound_steps(du, rc, s, lam, dv)
 
-        alpha = min(1.0 / _FRACTION_TO_BOUNDARY, _step_to_boundary(v, dv))
-        alpha = min(1.0, _FRACTION_TO_BOUNDARY * alpha)
-
-        x = x + alpha * dx
-        pi = pi + alpha * dpi
-        u = u + alpha * du
-        lam += alpha * dv[1]
+        # x, pi, u and lam take the step; the slacks are formed from u again
+        z += _step_to_boundary(v, dv, _FRACTION_TO_BOUNDARY) * dz
 
     # the last residuals were computed at the returned point
     return QpSolution(

@@ -194,6 +194,16 @@ class TestRiccatiIpm:
             for name, value in arrays.items():
                 assert np.array_equal(value, before[name]), name
 
+    @pytest.mark.parametrize("N", [1, 2, 80])
+    def test_start_is_rolled_out_from_the_initial_state(self, rng, N):
+        qp = make_random_qp(rng, N=N)
+        sol = solve_riccati_ipm(qp, max_iters=0)
+        assert sol.iters == 0 and sol.status == "max_iterations"
+        np.testing.assert_array_equal(sol.u, 0.5 * (qp.lb + qp.ub))
+        assert not sol.pi.any()
+        scale = max(1.0, np.abs(sol.x).max())
+        assert kkt_residuals(qp, sol).equality <= 1e-12 * scale
+
     def test_prepared_factorization_failure_raises_in_the_solve(self, rng):
         qp = make_random_qp(rng, N=2)
         qp.R[0] = -1e6 * np.eye(2)
@@ -502,6 +512,13 @@ def sweep_of(qp, D):
     return _RiccatiSweep(qp.A, qp.B, start.BA, W_bar, qp.Q_N)
 
 
+def newton_step(sweep, rx, ru, re):
+    """``(dx, du, dpi)`` that ``sweep.solve`` writes into fresh arrays."""
+    step = np.empty_like(rx), np.empty_like(ru), np.empty_like(rx)
+    sweep.solve(rx, ru, re, *step)
+    return step
+
+
 class TestRiccatiSweep:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(newton_systems())
@@ -510,12 +527,16 @@ class TestRiccatiSweep:
     @example(newton_system(4, N=8, M=8, nx=4, nu=3, zero_Q=[False] * 8, zero_Q_N=False))
     @example(newton_system(5, N=8, M=8, nx=4, nu=3, zero_Q=[False] * 8, zero_Q_N=True))
     @example(newton_system(6, N=5, M=5, nx=2, nu=1, zero_Q=[True] * 5, zero_Q_N=True))
+    # the benchmark's shapes: 10 stages (N = 50) and 80 stages (N = 400) of
+    # 13 states, whose recursions' band has 25 sub-diagonals
+    @example(newton_system(7, N=50, M=5, nx=13, nu=4, zero_Q=[False] * 50, zero_Q_N=False))
+    @example(newton_system(8, N=400, M=5, nx=13, nu=4, zero_Q=[False] * 400, zero_Q_N=False))
     def test_matches_per_stage_reference(self, case):
         qp, D, (rx, ru, re) = case
         R_bar = qp.R.copy()
         R_bar[:, range(qp.nu), range(qp.nu)] += D
         expected = RiccatiSweepReference(qp, R_bar).solve(rx, ru, re)
-        for got, ref in zip(sweep_of(qp, D).solve(rx, ru, re), expected):
+        for got, ref in zip(newton_step(sweep_of(qp, D), rx, ru, re), expected):
             scale = max(1.0, np.abs(ref).max())
             assert np.abs(got - ref).max() <= 1e-12 * scale
 
@@ -526,7 +547,7 @@ class TestRiccatiSweep:
         # the predictor's solve skips the multiplier step and nothing else
         qp, D, rhs = case
         sweep = sweep_of(qp, D)
-        dx, du, _ = sweep.solve(*rhs)
-        primal = sweep.solve(*rhs, duals=False)
-        assert len(primal) == 2
+        dx, du, _ = newton_step(sweep, *rhs)
+        primal = np.empty_like(dx), np.empty_like(du)
+        sweep.solve(*rhs, *primal)
         assert np.array_equal(primal[0], dx) and np.array_equal(primal[1], du)

@@ -2,6 +2,7 @@
 """Replay one recorded flight through two versions of the RTI controller, in one process.
 
     python3 tools/ab_replay.py --base HEAD --solver dense --seed 5 --out replay.json
+    python3 tools/ab_replay.py --base HEAD --horizon 400 --cycles 100
 
 Run from the root of a checkout. The ``--base`` revision's ``src/quadnmpc``
 is exported with ``git archive`` and the working tree's is copied; both go
@@ -9,17 +10,20 @@ into a temporary directory under the package names ``quadnmpc_base`` and
 ``quadnmpc_change``.
 
 The working tree flies one flight shaped like perfbench's RTI workloads
-(its chain of maneuvers for ``--seed``, N = 50, dt = 15 ms, block size 5,
-no noise, no delay) for ``--cycles`` cycles, and its estimated states and
-reference windows are recorded. Both controllers are then driven by that
-recording. Each cycle runs ``--replays`` times from the same guess, and
-the sides alternate within a cycle, the side that goes first alternating
-from cycle to cycle; a layer's time in a cycle is the minimum over the
-replays. The result gives, per layer (cycle, prepare, feedback, build_qp,
-condense, IPM, expand), the median over cycles of each side and the ratio
-change / base; the IPM iterations of each side and the number of cycles
-whose counts differ; and the largest difference between the applied
-inputs. It is printed and, with ``--out``, written as JSON, which
+(its chain of maneuvers for ``--seed``, dt = 15 ms, block size 5, no
+noise, no delay) for ``--cycles`` cycles, and its estimated states and
+reference windows are recorded. The horizon is ``--horizon`` stages,
+perfbench's RTI horizon N = 50 by default; ``--horizon 400`` gives the
+80-stage interior point that perfbench's ``trajgen`` runs. Both
+controllers are then driven by that recording. Each cycle runs
+``--replays`` times from the same guess, and the sides alternate within
+a cycle, the side that goes first alternating from cycle to cycle; a
+layer's time in a cycle is the minimum over the replays. The result
+gives, per layer (cycle, prepare, feedback, build_qp, condense, IPM,
+expand), the median over cycles of each side and the ratio change /
+base; the IPM iterations of each side and the number of cycles whose
+counts differ; and the largest difference between the applied inputs.
+It is printed and, with ``--out``, written as JSON, which
 ``tools/bench_file.py --replay`` puts into a BENCH file.
 
 Within one process both sides share the heap, the BLAS threads and the
@@ -72,14 +76,17 @@ def export(base: str, into: Path) -> dict[str, str]:
     return {side: f"quadnmpc_{side}" for side in SIDES}
 
 
-def record(seed: int, cycles: int, solver: str):
-    """Fly the working tree; return the horizon, sampling period, block size and per-cycle inputs."""
+def record(seed: int, cycles: int, solver: str, horizon: int | None):
+    """Fly the working tree; return the horizon, sampling period, block size and per-cycle inputs.
+
+    ``horizon`` is the number of stages, perfbench's ``N_RTI`` when it is ``None``.
+    """
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
     from quadnmpc import dynamics, ocp, sim
 
     params = dynamics.QuadrotorParams()
-    cfg = ocp.OcpConfig(N=workloads.N_RTI, dt=workloads.DT, params=params)
+    cfg = ocp.OcpConfig(N=horizon or workloads.N_RTI, dt=workloads.DT, params=params)
     duration = cycles * workloads.DT
     maneuvers = math.ceil(duration / workloads.MANEUVER_S)
     source = workloads.chain_source(workloads.maneuver_points(seed, maneuvers), params)
@@ -174,17 +181,20 @@ def main(argv=None) -> int:
     parser.add_argument("--base", default="HEAD", help="git revision of the base side")
     parser.add_argument("--solver", choices=("riccati", "dense"), default="riccati")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--horizon", type=int, help="stages N (default: perfbench's N_RTI)")
     parser.add_argument("--cycles", type=int, default=400)
     parser.add_argument("--replays", type=int, default=3)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     if args.cycles < 1 or args.replays < 1:
         parser.error("--cycles and --replays must be at least 1")
+    if args.horizon is not None and args.horizon < 1:
+        parser.error("--horizon must be at least 1")
 
     with tempfile.TemporaryDirectory() as tmp:
         packages = export(args.base, Path(tmp))
         sys.path.insert(0, tmp)
-        N, dt, block_size, inputs = record(args.seed, args.cycles, args.solver)
+        N, dt, block_size, inputs = record(args.seed, args.cycles, args.solver, args.horizon)
         sides = {s: Side(packages[s], N, dt, args.solver, block_size) for s in SIDES}
         result = replay(sides, inputs, args.replays)
 
