@@ -102,13 +102,13 @@ path = sys.argv[1] if len(sys.argv) > 1 else "{csv_name}"
 rows = list(csv.DictReader(open(path)))
 agg = defaultdict(list)
 for r in rows:
-    agg[(r["solver"], int(r["N"]))].append(float(r["time_solve_us"]) / max(int(r["ip_iters"]), 1))
+    agg[(r["solver"], int(r["N"]))].append(float(r["qp_linalg_us"]) / max(int(r["ip_iters"]), 1))
 fig, ax = plt.subplots(figsize=(8, 5))
 for solver in sorted({{k[0] for k in agg}}):
     ns = sorted(n for s, n in agg if s == solver)
     ys = [sum(agg[(solver, n)]) / len(agg[(solver, n)]) for n in ns]
     ax.plot(ns, ys, marker="o", label=solver)
-ax.set_xlabel("horizon length"); ax.set_ylabel("mean solve time per iteration [us]")
+ax.set_xlabel("horizon length"); ax.set_ylabel("mean Newton-system time per iteration [us]")
 ax.set_yscale("log"); ax.grid(True); ax.legend()
 fig.tight_layout()
 plt.savefig(path.replace(".csv", ".png"), dpi=150)
@@ -190,6 +190,10 @@ def cmd_simulate(args, rc: RunConfig, out: Path) -> int:
     (out / "config_used.ini").write_text(rc.dump())
 
     cycle_us = trace.column("prep_us") + trace.column("fb_us")
+    # how far each cycle's tangential predictor extrapolated; a non-finite
+    # estimate (a degraded cycle) has no gap
+    gaps = trace.column("x0_gap")
+    gaps = gaps[np.isfinite(gaps)]
     summary = {
         "scenario": rc.get("sim", "scenario"),
         "controller": rc.get("sim", "controller"),
@@ -207,6 +211,9 @@ def cmd_simulate(args, rc: RunConfig, out: Path) -> int:
         "deadline_misses": int(np.count_nonzero(cycle_us > cfg.ocp.dt * 1e6)),
         "degraded_cycles": int(trace.column("degraded").sum()),
         "unconverged_cycles": int(np.count_nonzero(trace.column("qp_status") == "max_iterations")),
+        "x0_gap_p50": float(np.percentile(gaps, 50)) if len(gaps) else 0.0,
+        "x0_gap_p95": float(np.percentile(gaps, 95)) if len(gaps) else 0.0,
+        "x0_gap_max": float(np.max(gaps)) if len(gaps) else 0.0,
     }
     (out / "metrics.json").write_text(json.dumps(_jsonable(summary), indent=2))
     lines = [f"{k}: {v}" for k, v in _jsonable(summary).items()]

@@ -40,6 +40,7 @@ is single-threaded.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass
 
@@ -155,10 +156,12 @@ class QpSolution:
     ``x`` and ``pi`` are (N+1, nx), ``u``, ``lam_lo`` and ``lam_hi``
     (N, nu). ``linalg_us`` accumulates the time spent factorizing and
     solving the Newton systems (the part whose cost scales with the
-    problem shape), excluding residual bookkeeping. It does not include
-    the first factorization when that was prepared ahead of the solve
-    (:func:`prepare_riccati_ipm`, which the RTI controller runs in its
-    preparation phase).
+    problem shape), the first factorization included, excluding residual
+    bookkeeping. A solution returned by the interior point also carries
+    the factorization of its last Newton step, ``sweep``, and the barrier
+    diagonal ``lam / s`` (2, N, nu) that factorization was formed with,
+    for :func:`tangential_predictor`; a solve that stops before its first
+    step carries those of its start.
     """
 
     x: np.ndarray
@@ -170,40 +173,56 @@ class QpSolution:
     status: str
     residuals: KktResiduals = None
     linalg_us: float = 0.0
+    sweep: _RiccatiSweep | None = None
+    barrier: np.ndarray | None = None
 
 
-def _residuals(qp: OcpQp, x, u, pi, lam_lo, lam_hi):
-    """Stationarity ``(rx, ru)`` and equality ``re`` residuals of a primal-dual point.
+def _residual_views(r: np.ndarray, N: int, nx: int, nu: int):
+    """Views ``rx (N+1, nx)``, ``ru (N, nu)`` and ``re (N+1, nx)`` of the residuals
+    held in one array ``r``; its first ``(N+1) nx + N nu`` entries are the stationarity."""
+    n_x, n_u = (N + 1) * nx, N * nu
+    return (
+        r[:n_x].reshape(N + 1, nx),
+        r[n_x : n_x + n_u].reshape(N, nu),
+        r[n_x + n_u :].reshape(N + 1, nx),
+    )
+
+
+def _residuals(qp: OcpQp, x, u, pi, lam_lo, lam_hi, r: np.ndarray) -> None:
+    """Write the stationarity ``(rx, ru)`` and equality ``re`` residuals of a primal-dual
+    point into the views of ``r`` (:func:`_residual_views`).
 
     ``re[0]`` is the initial-condition residual.
     """
     N = qp.num_stages
-    rx = np.empty_like(x)
+    rx, ru, re = _residual_views(r, N, qp.nx, qp.nu)
     rx[:N] = _mv(qp.Q, x[:-1]) + _mtv(qp.S, u) + qp.q + _mtv(qp.A, pi[1:]) - pi[:-1]
     rx[N] = qp.Q_N @ x[N] + qp.q_N - pi[N]
-    ru = _mv(qp.R, u) + _mv(qp.S, x[:-1]) + qp.r + _mtv(qp.B, pi[1:]) - lam_lo + lam_hi
-    re = np.empty_like(x)
+    np.add(_mv(qp.R, u) + _mv(qp.S, x[:-1]) + qp.r + _mtv(qp.B, pi[1:]) - lam_lo, lam_hi, out=ru)
     re[0] = x[0] - qp.x0_residual
     re[1:] = x[1:] - _mv(qp.A, x[:-1]) - _mv(qp.B, u) - qp.c
-    return rx, ru, re
 
 
 def kkt_residuals(qp: OcpQp, sol: QpSolution) -> KktResiduals:
     """Infinity norms of the four KKT residual groups at ``sol``."""
-    rx, ru, re = _residuals(qp, sol.x, sol.u, sol.pi, sol.lam_lo, sol.lam_hi)
+    N, nx, nu = qp.B.shape
+    r = np.empty(2 * (N + 1) * nx + N * nu)
+    _residuals(qp, sol.x, sol.u, sol.pi, sol.lam_lo, sol.lam_hi, r)
     v = np.empty((2, 2) + sol.u.shape)
     np.subtract(sol.u, qp.lb, out=v[0, 0])
     np.subtract(qp.ub, sol.u, out=v[0, 1])
     v[1] = sol.lam_lo, sol.lam_hi
-    return _kkt_norms(rx, ru, re, v, v[1] * v[0])
+    return _kkt_norms(r, (N + 1) * nx + N * nu, v, v[1] * v[0])
 
 
-def _kkt_norms(rx, ru, re, v, rc) -> KktResiduals:
-    """The residual norms from ``_residuals``, the bound slacks and duals ``v``
-    stacked (2, 2, N, nu) as in the IPM, and the complementarity ``rc``."""
+def _kkt_norms(r, n_stat, v, rc) -> KktResiduals:
+    """The norms of the residuals ``r`` from :func:`_residuals`, whose first ``n_stat``
+    entries are the stationarity, of the bound slacks and duals ``v`` stacked
+    (2, 2, N, nu) as in the IPM, and of the complementarity ``rc``."""
+    a = np.abs(r)
     return KktResiduals(
-        stationarity=float(max(np.abs(rx).max(), np.abs(ru).max())),
-        equality=float(np.abs(re).max()),
+        stationarity=float(a[:n_stat].max()),
+        equality=float(a[n_stat:].max()),
         inequality=float(max(0.0, -v.min())),
         complementarity=float(np.abs(rc).max()),
     )
@@ -435,14 +454,17 @@ class _RiccatiSweep:
     (:func:`prepare_riccati_ipm` adds it once per QP), so there ``M`` is
     ``W`` itself. Every stage after the first factorizes its input block
     ``G_i = L_i L_i'`` and inverts the factor, so that with
-    ``V_i = L_i^-1 H_i`` the next cost-to-go is ``P_i = Q_bar_i - V_i' V_i``;
+    ``V_i = L_i^-1 H_i`` the next cost-to-go is ``P_i = Q_bar_i - V_i' V_i``,
+    written by one subtraction and not symmetrized (its asymmetry stays at
+    rounding level);
     the gains ``K_i = -G_i^-1 H_i``, the inverse input blocks, the
     closed-loop matrices ``A_i + B_i K_i`` and the band of the solve's two
     recursions (:func:`_unit_lower_band` of the closed-loop matrices) are
     formed for all of them after the loop. The initial state is fixed, so
     stage 0 keeps only the Cholesky factor of ``G_0`` and the rest of its
     ``M``: no inverse, gain or cost-to-go. One sweep serves both the
-    predictor and the corrector right-hand sides.
+    predictor and the corrector right-hand sides, and a solve's last
+    sweep also the tangential predictor's (:func:`tangential_predictor`).
 
     A fully condensed QP has stage 0 alone, and the stages after it are
     skipped, not run on empty arrays: its sweep is one dense Cholesky
@@ -465,9 +487,7 @@ class _RiccatiSweep:
                     L = _regularized_cholesky(M[:nu, :nu])
                 L_inv[i - 1] = Li = dtrtri(L, lower=1)[0]
                 Vi = np.matmul(Li, M[:nu, nu:], out=V[i - 1])
-                Pi = M[nu:, nu:] - Vi.T @ Vi
-                np.add(Pi, Pi.T, out=P[i])
-                P[i] *= 0.5
+                np.subtract(M[nu:, nu:], Vi.T @ Vi, out=P[i])
                 M = BA[i - 1].T @ (P[i] @ BA[i - 1])
                 M += W[i - 1]
             L_invT = L_inv.swapaxes(1, 2)
@@ -558,7 +578,7 @@ def _step_to_boundary(v: np.ndarray, dv: np.ndarray, fraction: float) -> float:
 
 @dataclass
 class IpmStart:
-    """Everything of an interior-point solve that does not read ``x0_residual``.
+    """Everything of an interior-point solve that it forms once per QP.
 
     ``BA (N,nx,nu+nx)`` and
     ``W (N,nu+nx,nu+nx)`` the stacked stage data ``[B A]`` and
@@ -567,10 +587,6 @@ class IpmStart:
     inputs ``u``, ``rollout`` the band (:func:`_unit_lower_band` of ``A``)
     that rolls them out from the initial state, ``bounds`` and
     ``lam (2,N,nu)`` the lower and upper bounds and their starting duals.
-    ``sweep`` is the factorization of the first Newton matrix, or ``None``
-    with the factorization's error kept in ``error``; ``linalg_us`` is the
-    time it took. A start is valid for the QP it was prepared from,
-    whatever its ``x0_residual``, and is not modified by a solve.
     """
 
     BA: np.ndarray
@@ -580,18 +596,10 @@ class IpmStart:
     rollout: np.ndarray
     bounds: np.ndarray
     lam: np.ndarray
-    sweep: _RiccatiSweep | None
-    error: QpNumericalError | None
-    linalg_us: float
 
 
 def prepare_riccati_ipm(qp: OcpQp) -> IpmStart:
-    """Stack the stage data, set the starting point and factorize the first Newton matrix.
-
-    None of this reads ``qp.x0_residual``, so an RTI controller runs it
-    before the measurement arrives. A factorization failure does not
-    raise here: it is kept and raised by the solve that needs it.
-    """
+    """Stack the stage data and set the starting point of an interior-point solve of ``qp``."""
     N, nx, nu = qp.B.shape
     BA = np.concatenate([qp.B, qp.A], axis=2)
     W = np.empty((N, nu + nx, nu + nx))
@@ -605,27 +613,11 @@ def prepare_riccati_ipm(qp: OcpQp) -> IpmStart:
     # strictly interior start at the bound midpoints
     u = 0.5 * (qp.lb + qp.ub)
     bounds = np.stack((qp.lb, qp.ub))
-    s = _SIDE * (u - bounds)
-    lam = 1.0 / np.maximum(s, 1e-2)
-    sweep = error = None
-    t0 = time.perf_counter_ns()
-    W_bar = W.copy()
-    try:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            _add_barrier(W_bar, W, (lam / s).sum(0))
-            sweep = _RiccatiSweep(qp.A, qp.B, BA, W_bar, qp.Q_N)
-    except QpNumericalError as exc:
-        error = exc
-    linalg_us = (time.perf_counter_ns() - t0) / 1000.0
-    return IpmStart(
-        BA, W, _mv(qp.B, u) + qp.c, u, _unit_lower_band(qp.A), bounds, lam, sweep, error,
-        linalg_us,
-    )
+    lam = 1.0 / np.maximum(_SIDE * (u - bounds), 1e-2)
+    return IpmStart(BA, W, _mv(qp.B, u) + qp.c, u, _unit_lower_band(qp.A), bounds, lam)
 
 
-def solve_riccati_ipm(
-    qp: OcpQp, tol: float = QP_TOL, max_iters: int = QP_MAX_ITERS, start: IpmStart | None = None
-) -> QpSolution:
+def solve_riccati_ipm(qp: OcpQp, tol: float = QP_TOL, max_iters: int = QP_MAX_ITERS) -> QpSolution:
     """Solve the banded QP by a Mehrotra predictor-corrector interior point.
 
     Every Newton system is factorized by one backward Riccati recursion
@@ -634,23 +626,16 @@ def solve_riccati_ipm(
     step length with fraction-to-boundary 0.995 is applied to all
     primal and dual variables.
 
-    ``start``, from :func:`prepare_riccati_ipm` on this QP, supplies the
-    work that does not depend on ``x0_residual``; without it the solve
-    prepares its own, with the same iterates. ``linalg_us`` counts the
-    first factorization only when the solve prepared the start itself.
-
     Raises :class:`QpNumericalError` if a recursion block stays
     indefinite after one shot of regularization, if iterates go
     non-finite, or if a bound slack rounds to zero before a factorization
     (the message names that slack). Hitting ``max_iters`` is reported through ``status``
     with the best iterate, not raised.
     """
-    return _ipm(qp, tol, max_iters, start)
+    return _ipm(qp, tol, max_iters)
 
 
-def solve_condensed_dense(
-    cqp: OcpQp, tol: float = QP_TOL, max_iters: int = QP_MAX_ITERS, start: IpmStart | None = None
-) -> QpSolution:
+def solve_condensed_dense(cqp: OcpQp, tol: float = QP_TOL, max_iters: int = QP_MAX_ITERS) -> QpSolution:
     """Solve a fully condensed QP (one stage plus the terminal state).
 
     The interior point of :func:`solve_riccati_ipm`, on one stage: with
@@ -664,7 +649,43 @@ def solve_condensed_dense(
     """
     if cqp.num_stages != 1:
         raise ValueError("the dense solver expects a fully condensed QP")
-    return _ipm(cqp, tol, max_iters, start)
+    return _ipm(cqp, tol, max_iters)
+
+
+def tangential_predictor(sol: QpSolution, b0: np.ndarray) -> QpSolution:
+    """``sol`` moved to first order to the QP whose ``x0_residual`` is larger by ``b0``.
+
+    ``sol`` is a solution the interior point returned. Its last Newton
+    factorization (``sol.sweep``) makes one solve whose right-hand side is
+    zero except the initial-condition residual ``-b0``, so that
+    ``dx_0 = b0``; the bound duals follow the linearized complementarity,
+    ``dlam = -(lam / s) ds``, with the barrier diagonal ``sol.barrier`` that
+    factorization was formed with. At a converged barrier solution this is
+    the tangential predictor of the parametric QP (advanced-step NMPC):
+    inputs at strongly active bounds barely move, and the others move as
+    the unconstrained optimum does. Nothing is factorized, and the bounds
+    are not enforced on the step. The result carries ``sol``'s iteration
+    count, status and ``linalg_us`` and no residuals.
+    """
+    N, nu = sol.u.shape
+    nx = sol.x.shape[1]
+    rhs = np.zeros(2 * (N + 1) * nx + N * nu)
+    rx, ru, re = _residual_views(rhs, N, nx, nu)
+    re[0] = -np.asarray(b0, dtype=float)
+    dx, dpi, du = np.empty((N + 1, nx)), np.empty((N + 1, nx)), np.empty((N, nu))
+    sol.sweep.solve(rx, ru, re, dx, du, dpi)
+    # ds = _SIDE du, and dlam = -(lam / s) ds
+    dlam = -sol.barrier * (_SIDE * du)
+    return QpSolution(
+        x=sol.x + dx,
+        u=sol.u + du,
+        pi=sol.pi + dpi,
+        lam_lo=sol.lam_lo + dlam[0],
+        lam_hi=sol.lam_hi + dlam[1],
+        iters=sol.iters,
+        status=sol.status,
+        linalg_us=sol.linalg_us,
+    )
 
 
 def _point(z: np.ndarray, N: int, nx: int, nu: int):
@@ -683,14 +704,12 @@ def _point(z: np.ndarray, N: int, nx: int, nu: int):
 # finite-residual check turns into QpNumericalError; a slack that rounds
 # to zero raises, naming it, before the barrier diagonal is formed from it
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _ipm(qp: OcpQp, tol: float, max_iters: int, start: IpmStart | None) -> QpSolution:
-    linalg_ns = 0
-    if start is None:
-        start = prepare_riccati_ipm(qp)
-        linalg_ns = start.linalg_us * 1000.0
+def _ipm(qp: OcpQp, tol: float, max_iters: int) -> QpSolution:
+    start = prepare_riccati_ipm(qp)
     N, nx, nu = qp.B.shape
     bounds = start.bounds
     n_bnd = 2 * N * nu
+    n_stat = (N + 1) * nx + N * nu
 
     # the point and its step, each one array: x, pi, u, then the slacks
     # and bound duals side by side, for one step-to-boundary test
@@ -699,6 +718,9 @@ def _ipm(qp: OcpQp, tol: float, max_iters: int, start: IpmStart | None) -> QpSol
     x, pi, u, v = _point(z, N, nx, nu)
     dx, dpi, du, dv = _point(dz, N, nx, nu)
     s, lam = v
+    # the residuals, one array for one norm pass
+    r = np.empty(n_stat + (N + 1) * nx)
+    rx, ru, re = _residual_views(r, N, nx, nu)
     # the predictor's slack and dual steps
     dv_a = np.empty_like(v)
     # the starting inputs rolled out feasibly from the initial state
@@ -710,37 +732,44 @@ def _ipm(qp: OcpQp, tol: float, max_iters: int, start: IpmStart | None) -> QpSol
     lam[:] = start.lam
     # the barrier Hessians of every iteration, of which only the input diagonal changes
     W_bar = start.W.copy()
+    # the barrier diagonal lam / s of the last factorization, per side
+    D = np.empty_like(s)
+    linalg_ns = 0
 
+    def factorize() -> _RiccatiSweep:
+        nonlocal linalg_ns
+        t0 = time.perf_counter_ns()
+        np.divide(lam, s, out=D)
+        _add_barrier(W_bar, start.W, D.sum(0))
+        sweep = _RiccatiSweep(qp.A, qp.B, start.BA, W_bar, qp.Q_N)
+        linalg_ns += time.perf_counter_ns() - t0
+        return sweep
+
+    # the start is strictly interior; a solve that stops before its first
+    # step keeps this factorization for a tangential predictor
+    np.multiply(_SIDE, u - bounds, out=s)
+    sweep = factorize()
     status = "max_iterations"
     iters = 0
     for iters in range(max_iters + 1):
-        np.multiply(_SIDE, u - bounds, out=s)
-        rx, ru, re = _residuals(qp, x, u, pi, lam[0], lam[1])
+        _residuals(qp, x, u, pi, lam[0], lam[1], r)
         rc = lam * s
 
-        stat_norm = max(np.abs(rx).max(), np.abs(ru).max())
-        eq_norm = np.abs(re).max()
-        compl_norm = np.abs(rc).max()
-        if not np.isfinite(stat_norm + eq_norm + compl_norm):
+        res = _kkt_norms(r, n_stat, v, rc)
+        if not math.isfinite(res.stationarity + res.equality + res.complementarity):
             raise QpNumericalError("non-finite values encountered in interior-point iterate")
-        if stat_norm <= tol and eq_norm <= tol and compl_norm <= tol:
+        if res.stationarity <= tol and res.equality <= tol and res.complementarity <= tol:
             status = "converged"
             break
         if iters == max_iters:
             break
 
-        mu = float(rc.sum()) / n_bnd
-        if iters == 0:
-            if start.error is not None:
-                raise start.error
-            sweep = start.sweep
-        else:
+        rc_sum = float(rc.sum())
+        mu = rc_sum / n_bnd
+        if iters:
             if s.min() <= 0.0:
                 raise QpNumericalError(_zero_slack(s))
-            t0 = time.perf_counter_ns()
-            _add_barrier(W_bar, start.W, (lam / s).sum(0))
-            sweep = _RiccatiSweep(qp.A, qp.B, start.BA, W_bar, qp.Q_N)
-            linalg_ns += time.perf_counter_ns() - t0
+            sweep = factorize()
 
         # predictor: pure Newton step on the unperturbed KKT system; only
         # its input step is used, and the corrector overwrites dx and du
@@ -750,13 +779,15 @@ def _ipm(qp: OcpQp, tol: float, max_iters: int, start: IpmStart | None) -> QpSol
         linalg_ns += time.perf_counter_ns() - t0
         _bound_steps(du, rc, s, lam, dv_a)
 
+        # s_aff lam_aff = (1 - alpha) s lam + alpha^2 ds dlam, since s dlam + lam ds = -s lam
         alpha_aff = _step_to_boundary(v, dv_a, 1.0)
-        v_aff = v + alpha_aff * dv_a
-        mu_aff = float((v_aff[1] * v_aff[0]).sum()) / n_bnd
+        dd = dv_a[0] * dv_a[1]
+        mu_aff = ((1.0 - alpha_aff) * rc_sum + alpha_aff**2 * float(dd.sum())) / n_bnd
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
         # corrector: recentered with Mehrotra second-order terms
-        rc += dv_a[0] * dv_a[1] - sigma * mu
+        dd -= sigma * mu
+        rc += dd
         g = rc / s
         t0 = time.perf_counter_ns()
         sweep.solve(rx, ru + g[0] - g[1], re, dx, du, dpi)
@@ -765,6 +796,7 @@ def _ipm(qp: OcpQp, tol: float, max_iters: int, start: IpmStart | None) -> QpSol
 
         # x, pi, u and lam take the step; the slacks are formed from u again
         z += _step_to_boundary(v, dv, _FRACTION_TO_BOUNDARY) * dz
+        np.multiply(_SIDE, u - bounds, out=s)
 
     # the last residuals were computed at the returned point
     return QpSolution(
@@ -775,8 +807,10 @@ def _ipm(qp: OcpQp, tol: float, max_iters: int, start: IpmStart | None) -> QpSol
         lam_hi=lam[1],
         iters=iters,
         status=status,
-        residuals=_kkt_norms(rx, ru, re, v, rc),
+        residuals=res,
         linalg_us=linalg_ns / 1000.0,
+        sweep=sweep,
+        barrier=D,
     )
 
 

@@ -1,11 +1,15 @@
 """Real-time-iteration controller: one SQP iteration per sampling instant.
 
-Each control cycle splits into a preparation phase (linearize the whole
-horizon at the current guess, assemble and condense the QP, set the
-interior point's starting point and factorize its first Newton matrix -
-nothing that needs the new measurement) and a feedback phase
-(inject the initial-condition residual, solve one QP, apply the full
-Newton-type step, emit the first input, shift the guess). A
+Each control cycle splits into a preparation phase and a feedback phase,
+in the advanced-step form (Zavala & Biegler 2009; Nurkanovic et al.
+2019). Preparation does all that needs no measurement: it linearizes
+the whole horizon at the current guess, assembles and condenses the QP
+at the predicted initial state ``X[0]`` and solves it with the interior
+point. Feedback, the controller's own delay between measurement and
+command, makes one solve with that interior point's last Newton
+factorization: the tangential predictor of the QP solution for the
+deviation of the estimated state from ``X[0]``. It then applies the
+full Newton-type step, emits the first input and shifts the guess. A
 run-to-convergence mode iterates SQP steps on a fixed problem under an
 exact-penalty step safeguard; trajectory generation uses it offline.
 """
@@ -23,15 +27,14 @@ from .qp import (
     QP_MAX_ITERS,
     QP_TOL,
     CondensedQp,
-    IpmStart,
     QpNumericalError,
     QpSolution,
     expand,
     kkt_residuals,
     partial_condense,
-    prepare_riccati_ipm,
     solve_condensed_dense,
     solve_riccati_ipm,
+    tangential_predictor,
 )
 
 
@@ -60,7 +63,12 @@ class ControlOutput:
     or ``max_iterations``), ``none`` without a QP, or ``numerical_error``
     when the solve raised or the state estimate was not finite, and the
     cycle is degraded: the guess is shifted without a step and ``u0`` is
-    its clipped first input.
+    its clipped first input. ``qp_iters``, ``qp_status`` and
+    ``qp_linalg_us`` are those of the preparation phase's solve;
+    ``kkt_stationarity`` is taken after the tangential predictor, on the
+    QP at the estimated state. ``x0_gap`` is ``|xhat - X[0]|`` in the
+    infinity norm: how far the tangential predictor extrapolated from the
+    state the QP was solved at (not finite for a non-finite estimate).
     """
 
     u0: np.ndarray
@@ -72,6 +80,7 @@ class ControlOutput:
     kkt_stationarity: float = 0.0
     step_norm: float = 0.0
     degraded: bool = False
+    x0_gap: float = 0.0
 
 
 def _us() -> float:
@@ -99,8 +108,12 @@ def _normalize_guess_attitudes(X: np.ndarray) -> None:
 class RtiController:
     """Receding-horizon tracker performing exactly one QP solve per cycle.
 
-    Not shareable across threads mid-cycle; preparation and feedback of
-    the same cycle must run in program order.
+    ``prepare`` solves the QP at the predicted state ``X[0]``;
+    ``feedback(xhat)`` moves that solution to the estimated state by one
+    tangential-predictor solve (:func:`~quadnmpc.qp.tangential_predictor`)
+    and forms no Newton factorization. Not shareable across threads
+    mid-cycle; preparation and feedback of the same cycle must run in
+    program order.
 
     Parameters
     ----------
@@ -139,32 +152,45 @@ class RtiController:
         self.X[:] = dyn.hover_state(position)
         self.U[:] = self.cfg.params.hover_input()
         self._prepared: CondensedQp | None = None
-        self._start: IpmStart | None = None
+        # the prepared QP's solution, or the error its solve raised
+        self._solution: QpSolution | QpNumericalError | None = None
 
     def prepare(self, refs: ReferenceWindow) -> None:
-        """Linearize, assemble, condense and start the QP solve: all that needs no measurement.
+        """Linearize, assemble, condense and solve the QP at the predicted state ``X[0]``:
+        all that needs no measurement.
 
-        A first Newton matrix that cannot be factorized does not raise
-        here; the feedback of this cycle then reports a degraded cycle.
+        A solve that raises does not raise here; the feedback of this
+        cycle then reports a degraded cycle.
         """
         t0 = _us()
         qp = build_qp(self.X, self.U, refs, self.X[0], self.cfg)
-        self._prepared = partial_condense(qp, self.block_size)
-        self._start = prepare_riccati_ipm(self._prepared.qp)
+        self._prepared = cond = partial_condense(qp, self.block_size)
+        try:
+            # one interior point under two names: the dense one takes the
+            # fully condensed QP
+            if self.solver == "dense":
+                self._solution = solve_condensed_dense(cond.qp, self.qp_tol, self.qp_max_iters)
+            else:
+                self._solution = solve_riccati_ipm(cond.qp, self.qp_tol, self.qp_max_iters)
+        except QpNumericalError as exc:
+            self._solution = exc
         self.prep_us = _us() - t0
 
     def feedback(self, xhat: np.ndarray) -> ControlOutput:
-        """Inject the estimated state, solve the QP, step, and shift the guess.
+        """Move the prepared solution to the estimated state, step, and shift the guess.
 
-        A non-finite ``xhat`` is not passed to the solver: the cycle is
-        degraded like one whose QP solve failed. After the shift, ``X[0]``
-        is the state predicted one step ahead.
+        ``b0 = xhat - X[0]`` enters one tangential-predictor solve; the
+        QP's ``x0_residual`` becomes ``b0``, so the recorded residuals are
+        those of the QP at the estimated state. A non-finite ``xhat`` is
+        not passed to the solver: the cycle is degraded like one whose QP
+        solve failed. After the shift, ``X[0]`` is the state predicted one
+        step ahead.
         """
         if self._prepared is None:
             raise RuntimeError("feedback called without a prepared cycle")
         t0 = _us()
-        cond, start = self._prepared, self._start
-        self._prepared = self._start = None
+        cond, csol = self._prepared, self._solution
+        self._prepared = self._solution = None
         b0 = np.asarray(xhat, dtype=float) - self.X[0]
         cond.qp.x0_residual = b0
         cond.original.x0_residual = b0
@@ -172,13 +198,9 @@ class RtiController:
         try:
             if not np.isfinite(b0).all():
                 raise QpNumericalError("non-finite state estimate")
-            # one interior point under two names: the dense one takes the
-            # fully condensed QP
-            if self.solver == "dense":
-                csol = solve_condensed_dense(cond.qp, self.qp_tol, self.qp_max_iters, start)
-            else:
-                csol = solve_riccati_ipm(cond.qp, self.qp_tol, self.qp_max_iters, start)
-            sol = expand(csol, cond)
+            if isinstance(csol, QpNumericalError):
+                raise csol
+            sol = expand(tangential_predictor(csol, b0), cond)
             stats = dict(
                 qp_iters=sol.iters,
                 qp_status=sol.status,
@@ -198,6 +220,7 @@ class RtiController:
         out = ControlOutput(
             u0=np.clip(self.U[0], self.cfg.u_lower, self.cfg.u_upper),
             prep_us=self.prep_us,
+            x0_gap=float(np.abs(b0).max()),
             **stats,
         )
         # warm-start shift: move every stage forward, duplicate the last

@@ -53,6 +53,7 @@ DIAGNOSTICS = (
     ("kkt_stat", "kkt_stationarity", "{:.3e}"),
     ("step_norm", "step_norm", "{:.6g}"),
     ("degraded", "degraded", "{:d}"),
+    ("x0_gap", "x0_gap", "{:.3e}"),
 )
 DIAGNOSTICS_COLUMNS = ",".join(["k"] + [column for column, _, _ in DIAGNOSTICS])
 

@@ -264,6 +264,10 @@ class TestCli:
         assert metrics["deadline_misses"] == np.count_nonzero(cycle_us > 15000.0)
         assert set(diag["qp_status"]) == {"converged"}
         assert metrics["unconverged_cycles"] == 0
+        gaps = diag["x0_gap"]
+        assert metrics["x0_gap_p50"] == pytest.approx(np.percentile(gaps, 50), rel=5e-4)
+        assert metrics["x0_gap_p95"] == pytest.approx(np.percentile(gaps, 95), rel=5e-4)
+        assert metrics["x0_gap_max"] == pytest.approx(gaps.max(), rel=5e-4)
 
     def test_simulate_counts_unconverged_cycles(self, tmp_path):
         code = main(

@@ -27,6 +27,7 @@ from quadnmpc.qp import (
     solve_condensed_dense,
     solve_dense_ipm,
     solve_riccati_ipm,
+    tangential_predictor,
 )
 
 
@@ -65,13 +66,15 @@ def make_random_qp(rng, N=4, nx=3, nu=2, bound_scale=1.0):
     )
 
 
-def start_arrays(start):
-    """Every array of an ``IpmStart`` and of its prepared sweep, by name."""
-    return {
-        f"{owner}.{name}": value
-        for owner, obj in (("start", start), ("sweep", start.sweep))
-        for name, value in vars(obj).items() if isinstance(value, np.ndarray)
-    }
+def qp_arrays(qp):
+    """Copies of every array of ``qp``, by name."""
+    return {name: value.copy() for name, value in vars(qp).items() if isinstance(value, np.ndarray)}
+
+
+def assert_same_iterates(a, b):
+    assert a.iters == b.iters and a.status == b.status
+    for name in ("x", "u", "pi", "lam_lo", "lam_hi"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 class TestDataModel:
@@ -175,23 +178,14 @@ class TestRiccatiIpm:
         with pytest.raises(QpNumericalError):
             solve_riccati_ipm(qp)
 
-    def test_prepared_start_gives_the_same_iterates(self, rng):
+    def test_repeated_solves_give_the_same_iterates(self, rng):
         for _ in range(10):
             qp = make_random_qp(rng, N=int(rng.integers(1, 8)))
-            x0 = qp.x0_residual.copy()
-            qp.x0_residual[:] = np.nan  # the start must not read it
-            start = prepare_riccati_ipm(qp)
-            qp.x0_residual[:] = x0
-            arrays = start_arrays(start)
-            before = {name: value.copy() for name, value in arrays.items()}
-            plain = solve_riccati_ipm(qp, 1e-8, 50)
-            for _ in range(2):  # a start is not consumed by a solve
-                sol = solve_riccati_ipm(qp, 1e-8, 50, start)
-                assert sol.iters == plain.iters and sol.status == plain.status
-                for name in ("x", "u", "pi", "lam_lo", "lam_hi"):
-                    np.testing.assert_array_equal(getattr(sol, name), getattr(plain, name))
-            # nor changed: the solves write their barrier Hessians into a buffer of their own
-            for name, value in arrays.items():
+            before = qp_arrays(qp)
+            first = solve_riccati_ipm(qp, 1e-8, 50)
+            assert_same_iterates(solve_riccati_ipm(qp, 1e-8, 50), first)
+            # the solves write their barrier Hessians into buffers of their own
+            for name, value in qp_arrays(qp).items():
                 assert np.array_equal(value, before[name]), name
 
     @pytest.mark.parametrize("N", [1, 2, 80])
@@ -203,14 +197,6 @@ class TestRiccatiIpm:
         assert not sol.pi.any()
         scale = max(1.0, np.abs(sol.x).max())
         assert kkt_residuals(qp, sol).equality <= 1e-12 * scale
-
-    def test_prepared_factorization_failure_raises_in_the_solve(self, rng):
-        qp = make_random_qp(rng, N=2)
-        qp.R[0] = -1e6 * np.eye(2)
-        start = prepare_riccati_ipm(qp)
-        assert start.sweep is None and isinstance(start.error, QpNumericalError)
-        with pytest.raises(QpNumericalError):
-            solve_riccati_ipm(qp, 1e-8, 50, start)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_zero_slack_raises_naming_it(self, seed):
@@ -267,18 +253,13 @@ class TestDenseIpm:
         for ub, u in zip(qp.ub, sol.u):
             np.testing.assert_allclose(u, ub, atol=1e-6)
 
-    def test_prepared_start_gives_the_same_iterates(self, rng):
+    def test_repeated_solves_give_the_same_iterates(self, rng):
         cqp = partial_condense(make_random_qp(rng, N=6), 6).qp
-        start = prepare_riccati_ipm(cqp)
-        before = {name: value.copy() for name, value in start_arrays(start).items()}
-        a = solve_condensed_dense(cqp, 1e-8, 50, start)
-        b = solve_condensed_dense(cqp, 1e-8, 50, start)
-        c = solve_condensed_dense(cqp)
-        for name in ("x", "u", "pi", "lam_lo", "lam_hi"):
-            assert np.array_equal(getattr(a, name), getattr(c, name)), name
-            assert np.array_equal(getattr(b, name), getattr(c, name)), name
-        assert a.iters == b.iters == c.iters > 1
-        for name, value in start_arrays(start).items():
+        before = qp_arrays(cqp)
+        first = solve_condensed_dense(cqp, 1e-8, 50)
+        assert first.iters > 1
+        assert_same_iterates(solve_condensed_dense(cqp, 1e-8, 50), first)
+        for name, value in qp_arrays(cqp).items():
             assert np.array_equal(value, before[name]), name
 
     def test_rejects_a_qp_that_is_not_fully_condensed(self, rng):
@@ -295,6 +276,46 @@ class TestDenseIpm:
         U = np.tile(params.hover_input(), (N, 1))
         qp = build_qp(X, U, hover_window(cfg, (0.6, 0.0, 0.6)), X[0], cfg)
         assert solve_dense_ipm(qp).status == "converged"
+
+
+class TestTangentialPredictor:
+    @pytest.mark.parametrize("M", [1, 3, 6])
+    def test_matches_a_full_solve_with_inactive_bounds(self, rng, M):
+        # with the bounds out of reach the solution is affine in x0_residual, up
+        # to barrier terms, so the first-order step lands on the solve at b0;
+        # M = 6 is the one-stage (fully condensed) sweep
+        for _ in range(5):
+            qp = partial_condense(make_random_qp(rng, N=6, bound_scale=1e6), M).qp
+            qp.x0_residual[:] = 0.0
+            sol = solve_riccati_ipm(qp, tol=1e-10)
+            b0 = 1e-3 * rng.normal(size=qp.nx)
+            step = tangential_predictor(sol, b0)
+            qp.x0_residual[:] = b0
+            full = solve_riccati_ipm(qp, tol=1e-10)
+            assert full.status == "converged"
+            for name in ("x", "u", "pi", "lam_lo", "lam_hi"):
+                np.testing.assert_allclose(getattr(step, name), getattr(full, name), atol=1e-8)
+            assert kkt_residuals(qp, step).max() <= 1e-8
+
+    def test_inputs_at_strongly_active_bounds_do_not_move(self, rng):
+        qp = make_random_qp(rng, N=4)
+        qp.r[:] = -50.0  # the unconstrained optimum lies far past every upper bound
+        qp.x0_residual[:] = 0.0
+        sol = solve_riccati_ipm(qp)
+        np.testing.assert_allclose(sol.u, qp.ub, atol=1e-6)
+        b0 = 1e-2 * rng.normal(size=qp.nx)
+        step = tangential_predictor(sol, b0)
+        np.testing.assert_allclose(step.u - sol.u, 0.0, atol=1e-8)
+        np.testing.assert_allclose(step.x[0] - sol.x[0], b0, rtol=0, atol=1e-14)
+        # the active set does not change, so the multipliers move as the full solve's do
+        qp.x0_residual[:] = b0
+        full = solve_riccati_ipm(qp)
+        for name in ("x", "pi", "lam_hi"):
+            np.testing.assert_allclose(getattr(step, name), getattr(full, name), atol=1e-6)
+        # the same shift moves the inputs when the bounds are out of reach
+        qp.lb[:], qp.ub[:] = -1e6, 1e6
+        loose = solve_riccati_ipm(qp)
+        assert np.abs(tangential_predictor(loose, b0).u - loose.u).max() > 1e-4
 
 
 class TestCondensing:

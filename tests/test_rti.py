@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import hover_window
+import quadnmpc.qp as qp_mod
 import quadnmpc.rti as rti_mod
 from quadnmpc import dynamics as dyn
 from quadnmpc.ocp import OcpConfig, ReferenceWindow, build_qp, discrete_dynamics_batch
@@ -173,14 +174,53 @@ class TestRtiController:
             return qp
 
         monkeypatch.setattr(rti_mod, "build_qp", concave_build_qp)
-        ctrl.prepare(refs)  # must not raise
-        assert isinstance(ctrl._start.error, QpNumericalError)
+        name = "solve_condensed_dense" if solver == "dense" else "solve_riccati_ipm"
+        solve, raised = getattr(rti_mod, name), []
+
+        def recording_solve(*args):
+            try:
+                return solve(*args)
+            except QpNumericalError as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(rti_mod, name, recording_solve)
+        ctrl.prepare(refs)  # must not raise, though its QP solve did
+        assert len(raised) == 1
         out = ctrl.feedback(dyn.hover_state())
         assert out.degraded
         assert out.qp_status == "numerical_error"
         np.testing.assert_array_equal(out.u0, expected)
         # no step: the guess is only shifted once more
         np.testing.assert_array_equal(ctrl.X, shifted(guess))
+
+    @pytest.mark.parametrize("solver", ["riccati", "dense"])
+    def test_feedback_runs_no_interior_point_iteration(self, cfg, solver, monkeypatch):
+        # the interior point runs in prepare; feedback only solves with its last factorization
+        counts = {"ipm": 0, "sweep": 0}
+        ipm, sweep = qp_mod._ipm, qp_mod._RiccatiSweep
+
+        def counting_ipm(*args):
+            counts["ipm"] += 1
+            return ipm(*args)
+
+        class CountingSweep(sweep):
+            def __init__(self, *args):
+                counts["sweep"] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(qp_mod, "_ipm", counting_ipm)
+        monkeypatch.setattr(qp_mod, "_RiccatiSweep", CountingSweep)
+        ctrl = RtiController(cfg, solver=solver)
+        refs = hover_window(cfg, p=(0.2, 0.0, 0.1))
+        for _ in range(3):
+            ctrl.prepare(refs)
+            assert counts["ipm"] == 1 and counts["sweep"] >= 1
+            counts.update(ipm=0, sweep=0)
+            out = ctrl.feedback(dyn.hover_state((0.01, 0.0, 0.0)))
+            assert counts == {"ipm": 0, "sweep": 0}
+            assert not out.degraded and out.qp_iters > 0
+            assert out.x0_gap > 0.0
 
     @pytest.mark.parametrize("solver", ["riccati", "dense"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

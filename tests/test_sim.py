@@ -377,3 +377,6 @@ class TestDiagnosticsCsv:
         # times are written with one decimal
         np.testing.assert_allclose(back["qp_linalg_us"], trace.column("qp_linalg_us"), atol=0.05)
         assert np.all(back["qp_linalg_us"] > 0.0)
+        # the gap is written with four significant digits
+        np.testing.assert_allclose(back["x0_gap"], trace.column("x0_gap"), rtol=5e-4)
+        assert np.all(back["x0_gap"] >= 0.0)

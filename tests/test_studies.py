@@ -42,7 +42,8 @@ class TestBenchmarkSmoke:
         res = benchmark(params, horizons=(5, 10), cycles=4, warmup=1)
         row = res.rows[0]
         assert list(row.keys()) == [
-            "N", "solver", "block_size", "ip_iters", "time_prep_us", "time_solve_us",
+            "N", "solver", "block_size", "ip_iters", "time_prep_us", "time_feedback_us",
+            "qp_linalg_us",
         ]
         # 2 horizons x 2 solvers x 4 timed cycles
         assert len(res.rows) == 16
@@ -67,7 +68,8 @@ class TestStudyCli:
         stub.rows = [
             {
                 "N": 10, "solver": "riccati", "block_size": 5,
-                "ip_iters": 6, "time_prep_us": 100.0, "time_solve_us": 200.0,
+                "ip_iters": 6, "time_prep_us": 100.0, "time_feedback_us": 20.0,
+                "qp_linalg_us": 150.0,
             }
         ]
         stub.scaling["aggregate"] = [

@@ -11,18 +11,20 @@ into a temporary directory under the package names ``quadnmpc_base`` and
 
 The working tree flies one flight shaped like perfbench's RTI workloads
 (its chain of maneuvers for ``--seed``, dt = 15 ms, block size 5, no
-noise, no delay) for ``--cycles`` cycles, and its estimated states and
-reference windows are recorded. The horizon is ``--horizon`` stages,
+noise, no delay) for ``--cycles`` cycles, and its start position,
+estimated states and reference windows are recorded. The horizon is ``--horizon`` stages,
 perfbench's RTI horizon N = 50 by default; ``--horizon 400`` gives the
 80-stage interior point that perfbench's ``trajgen`` runs. Both
-controllers are then driven by that recording. Each cycle runs
+controllers are reset to hover at the start position, as
+``run_closed_loop`` resets its own, and then driven by that recording. Each cycle runs
 ``--replays`` times from the same guess, and the sides alternate within
 a cycle, the side that goes first alternating from cycle to cycle; a
 layer's time in a cycle is the minimum over the replays. The result
 gives, per layer (cycle, prepare, feedback, build_qp, condense, IPM,
 expand), the median over cycles of each side and the ratio change /
 base; the IPM iterations of each side and the number of cycles whose
-counts differ; and the largest difference between the applied inputs.
+counts differ; and the largest and the median over cycles of the
+difference between the applied inputs.
 It is printed and, with ``--out``, written as JSON, which
 ``tools/bench_file.py --replay`` puts into a BENCH file.
 
@@ -77,7 +79,8 @@ def export(base: str, into: Path) -> dict[str, str]:
 
 
 def record(seed: int, cycles: int, solver: str, horizon: int | None):
-    """Fly the working tree; return the horizon, sampling period, block size and per-cycle inputs.
+    """Fly the working tree; return the horizon, sampling period, block size, start
+    position and per-cycle inputs.
 
     ``horizon`` is the number of stages, perfbench's ``N_RTI`` when it is ``None``.
     """
@@ -96,19 +99,20 @@ def record(seed: int, cycles: int, solver: str, horizon: int | None):
     ))
     windows = [source.window(t, cfg.N, cfg.dt) for t in trace.t]
     inputs = [(x, w.stages, w.terminal) for x, w in zip(trace.estimated, windows)]
-    return cfg.N, cfg.dt, workloads.BLOCK_SIZE, inputs
+    return cfg.N, cfg.dt, workloads.BLOCK_SIZE, source.position(0.0), inputs
 
 
 class Side:
     """One package's controller, with its layers timed at the names ``rti`` calls."""
 
-    def __init__(self, package: str, N: int, dt: float, solver: str, block_size: int):
+    def __init__(self, package: str, N: int, dt: float, solver: str, block_size: int, position):
         self.rti = importlib.import_module(f"{package}.rti")
         ocp = importlib.import_module(f"{package}.ocp")
         dynamics = importlib.import_module(f"{package}.dynamics")
         self.ocp = ocp
         cfg = ocp.OcpConfig(N=N, dt=dt, params=dynamics.QuadrotorParams())
         self.ctrl = self.rti.RtiController(cfg, solver=solver, block_size=block_size)
+        self.ctrl.reset(position)
         self.ns = {}
         for name, layer in WRAPPED.items():
             setattr(self.rti, name, self._timed(getattr(self.rti, name), layer))
@@ -140,7 +144,7 @@ def replay(sides: dict[str, Side], inputs, replays: int) -> dict:
     best = {side: {layer: [] for layer in LAYERS} for side in sides}
     iters = {side: [] for side in sides}
     degraded = {side: 0 for side in sides}
-    u_gap = 0.0
+    u_gaps = []
     for k, (xhat, stages, terminal) in enumerate(inputs):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
         guess = {s: (sides[s].ctrl.X.copy(), sides[s].ctrl.U.copy()) for s in order}
@@ -159,7 +163,7 @@ def replay(sides: dict[str, Side], inputs, replays: int) -> dict:
                 best[s][layer].append(mins[s][layer] / 1e6)
             iters[s].append(outs[s].qp_iters)
             degraded[s] += bool(outs[s].degraded)
-        u_gap = max(u_gap, float(np.abs(outs["base"].u0 - outs["change"].u0).max()))
+        u_gaps.append(float(np.abs(outs["base"].u0 - outs["change"].u0).max()))
     layers = {}
     for layer in LAYERS:
         med = {s: statistics.median(best[s][layer]) for s in sides}
@@ -172,7 +176,8 @@ def replay(sides: dict[str, Side], inputs, replays: int) -> dict:
             "cycles_differing": sum(a != b for a, b in zip(iters["base"], iters["change"])),
         },
         "degraded": degraded,
-        "max_input_diff": u_gap,
+        "max_input_diff": max(u_gaps),
+        "median_input_diff": statistics.median(u_gaps),
     }
 
 
@@ -194,8 +199,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         packages = export(args.base, Path(tmp))
         sys.path.insert(0, tmp)
-        N, dt, block_size, inputs = record(args.seed, args.cycles, args.solver, args.horizon)
-        sides = {s: Side(packages[s], N, dt, args.solver, block_size) for s in SIDES}
+        N, dt, block_size, position, inputs = record(
+            args.seed, args.cycles, args.solver, args.horizon
+        )
+        sides = {s: Side(packages[s], N, dt, args.solver, block_size, position) for s in SIDES}
         result = replay(sides, inputs, args.replays)
 
     import host
@@ -210,7 +217,8 @@ def main(argv=None) -> int:
         print(f"{layer:10s} base {row['base']:8.3f} ms  change {row['change']:8.3f} ms  "
               f"ratio {row['ratio']:.3f}")
     print("ipm_iters " + json.dumps(result["ipm_iters"]))
-    print(f"degraded {json.dumps(result['degraded'])}  max_input_diff {result['max_input_diff']:.3e}")
+    print(f"degraded {json.dumps(result['degraded'])}  max_input_diff {result['max_input_diff']:.3e}"
+          f"  median_input_diff {result['median_input_diff']:.3e}")
     if args.out:
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
