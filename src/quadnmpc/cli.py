@@ -189,7 +189,7 @@ def cmd_simulate(args, rc: RunConfig, out: Path) -> int:
     (out / "plot_trace.py").write_text(TRACE_PLOT.format(csv_name="trace.csv"))
     (out / "config_used.ini").write_text(rc.dump())
 
-    cycle_us = trace.column("prep_us") + trace.column("fb_us")
+    cycle_us = trace.column("prep_us") + trace.column("fb_us") + trace.column("post_us")
     # how far each cycle's tangential predictor extrapolated; a non-finite
     # estimate (a degraded cycle) has no gap
     gaps = trace.column("x0_gap")

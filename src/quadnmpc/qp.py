@@ -688,6 +688,20 @@ def tangential_predictor(sol: QpSolution, b0: np.ndarray) -> QpSolution:
     )
 
 
+def stage0_tangential_step(sol: QpSolution, b0: np.ndarray) -> np.ndarray:
+    """Stage 0's input step of :func:`tangential_predictor`, without the other stages.
+
+    With a right-hand side that is zero except ``re_0 = -b0``, the sweep's
+    backward recursion yields ``p = 0`` and ``g_0 = 0``, so
+    :meth:`_RiccatiSweep.solve` finds ``du_0`` by one ``dpotrs`` with the
+    stage-0 input block: the same floating-point operations, so
+    ``sol.u[0] + stage0_tangential_step(sol, b0)`` equals
+    ``tangential_predictor(sol, b0).u[0]`` bit for bit.
+    """
+    sweep = sol.sweep
+    return dpotrs(sweep.L0, np.dot(sweep.H0, -np.asarray(b0, dtype=float)), lower=1)[0]
+
+
 def _point(z: np.ndarray, N: int, nx: int, nu: int):
     """Views ``x, pi (N+1, nx)``, ``u (N, nu)`` and the bound slacks and duals
     ``v (2, 2, N, nu)`` of a primal-dual point held in one array ``z``."""

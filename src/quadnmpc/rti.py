@@ -6,10 +6,13 @@ in the advanced-step form (Zavala & Biegler 2009; Nurkanovic et al.
 the whole horizon at the current guess, assembles and condenses the QP
 at the predicted initial state ``X[0]`` and solves it with the interior
 point. Feedback, the controller's own delay between measurement and
-command, makes one solve with that interior point's last Newton
-factorization: the tangential predictor of the QP solution for the
-deviation of the estimated state from ``X[0]``. It then applies the
-full Newton-type step, emits the first input and shifts the guess. A
+command, does only what the command needs: stage 0 of the tangential
+predictor of the QP solution for the deviation of the estimated state
+from ``X[0]``, one solve with the stage-0 factor of that interior
+point's last Newton factorization, and the clipped first input. The
+post-command step then does the rest of the cycle (Diehl, Bock &
+Schloeder 2005): the whole tangential predictor, its expansion and
+residuals, the Newton-type step of the guess and its shift. A
 run-to-convergence mode iterates SQP steps on a fixed problem under an
 exact-penalty step safeguard; trajectory generation uses it offline.
 """
@@ -34,6 +37,7 @@ from .qp import (
     partial_condense,
     solve_condensed_dense,
     solve_riccati_ipm,
+    stage0_tangential_step,
     tangential_predictor,
 )
 
@@ -64,9 +68,11 @@ class ControlOutput:
     when the solve raised or the state estimate was not finite, and the
     cycle is degraded: the guess is shifted without a step and ``u0`` is
     its clipped first input. ``qp_iters``, ``qp_status`` and
-    ``qp_linalg_us`` are those of the preparation phase's solve;
-    ``kkt_stationarity`` is taken after the tangential predictor, on the
-    QP at the estimated state. ``x0_gap`` is ``|xhat - X[0]|`` in the
+    ``qp_linalg_us`` are those of the preparation phase's solve.
+    ``kkt_stationarity`` (taken after the tangential predictor, on the QP
+    at the estimated state) and ``step_norm`` are filled by the
+    post-command step, whose time is ``post_us``; the cycle's time is
+    ``prep_us + fb_us + post_us``. ``x0_gap`` is ``|xhat - X[0]|`` in the
     infinity norm: how far the tangential predictor extrapolated from the
     state the QP was solved at (not finite for a non-finite estimate).
     """
@@ -74,6 +80,7 @@ class ControlOutput:
     u0: np.ndarray
     prep_us: float = 0.0
     fb_us: float = 0.0
+    post_us: float = 0.0
     qp_iters: int = 0
     qp_status: str = "none"
     qp_linalg_us: float = 0.0
@@ -109,11 +116,15 @@ class RtiController:
     """Receding-horizon tracker performing exactly one QP solve per cycle.
 
     ``prepare`` solves the QP at the predicted state ``X[0]``;
-    ``feedback(xhat)`` moves that solution to the estimated state by one
-    tangential-predictor solve (:func:`~quadnmpc.qp.tangential_predictor`)
-    and forms no Newton factorization. Not shareable across threads
-    mid-cycle; preparation and feedback of the same cycle must run in
-    program order.
+    ``feedback(xhat)`` emits the command, the prepared first input moved
+    to the estimated state by stage 0 of the tangential predictor, and
+    forms no Newton factorization; ``post_command`` then steps the guess
+    by the whole tangential predictor
+    (:func:`~quadnmpc.qp.tangential_predictor`) and shifts it.
+    ``cycle`` runs all three, and ``prepare`` runs a post-command step
+    still pending, so a loop may call ``post_command`` once its command
+    is out or leave it to the next ``prepare``. Not shareable across
+    threads mid-cycle; the phases of a cycle must run in program order.
 
     Parameters
     ----------
@@ -154,14 +165,19 @@ class RtiController:
         self._prepared: CondensedQp | None = None
         # the prepared QP's solution, or the error its solve raised
         self._solution: QpSolution | QpNumericalError | None = None
+        # what post_command needs of the last feedback: its record, the QP, the
+        # solution (None for a degraded cycle) and b0
+        self._pending: tuple | None = None
 
     def prepare(self, refs: ReferenceWindow) -> None:
         """Linearize, assemble, condense and solve the QP at the predicted state ``X[0]``:
         all that needs no measurement.
 
         A solve that raises does not raise here; the feedback of this
-        cycle then reports a degraded cycle.
+        cycle then reports a degraded cycle. A post-command step still
+        pending from the last feedback runs first, outside ``prep_us``.
         """
+        self.post_command()
         t0 = _us()
         qp = build_qp(self.X, self.U, refs, self.X[0], self.cfg)
         self._prepared = cond = partial_condense(qp, self.block_size)
@@ -177,14 +193,18 @@ class RtiController:
         self.prep_us = _us() - t0
 
     def feedback(self, xhat: np.ndarray) -> ControlOutput:
-        """Move the prepared solution to the estimated state, step, and shift the guess.
+        """Emit the command for the estimated state ``xhat``: the prepared solution's
+        first input moved by stage 0 of the tangential predictor.
 
-        ``b0 = xhat - X[0]`` enters one tangential-predictor solve; the
-        QP's ``x0_residual`` becomes ``b0``, so the recorded residuals are
-        those of the QP at the estimated state. A non-finite ``xhat`` is
-        not passed to the solver: the cycle is degraded like one whose QP
-        solve failed. After the shift, ``X[0]`` is the state predicted one
-        step ahead.
+        ``b0 = xhat - X[0]`` enters one ``dpotrs`` with the stage-0 factor
+        of the interior point's last Newton factorization
+        (:func:`~quadnmpc.qp.stage0_tangential_step`), which gives the input
+        the full tangential step would, bit for bit. A non-finite ``xhat``
+        is not passed to the solver: the cycle is degraded like one whose
+        QP solve failed, and ``u0`` is the guess's clipped first input.
+        All else, the step of the whole guess and the shift, waits for
+        :meth:`post_command`; until it runs, the record's
+        ``kkt_stationarity`` and ``step_norm`` are NaN.
         """
         if self._prepared is None:
             raise RuntimeError("feedback called without a prepared cycle")
@@ -192,47 +212,68 @@ class RtiController:
         cond, csol = self._prepared, self._solution
         self._prepared = self._solution = None
         b0 = np.asarray(xhat, dtype=float) - self.X[0]
-        cond.qp.x0_residual = b0
-        cond.original.x0_residual = b0
-
+        u0 = self.U[0]
         try:
             if not np.isfinite(b0).all():
                 raise QpNumericalError("non-finite state estimate")
             if isinstance(csol, QpNumericalError):
                 raise csol
-            sol = expand(tangential_predictor(csol, b0), cond)
-            stats = dict(
-                qp_iters=sol.iters,
-                qp_status=sol.status,
-                qp_linalg_us=sol.linalg_us,
-                kkt_stationarity=sol.residuals.stationarity,
-                step_norm=max(np.abs(sol.x).max(), np.abs(sol.u).max()),
-            )
-            self.X = self.X + sol.x
-            self.U = self.U + sol.u
-            _normalize_guess_attitudes(self.X)
+            u0 = u0 + (csol.u[0, : dyn.NU] + stage0_tangential_step(csol, b0)[: dyn.NU])
+            stats = dict(qp_iters=csol.iters, qp_status=csol.status, qp_linalg_us=csol.linalg_us)
         except QpNumericalError:
-            stats = dict(
-                qp_status="numerical_error", kkt_stationarity=np.nan, step_norm=np.nan,
-                degraded=True,
-            )
+            csol = None
+            stats = dict(qp_status="numerical_error", degraded=True)
 
         out = ControlOutput(
-            u0=np.clip(self.U[0], self.cfg.u_lower, self.cfg.u_upper),
+            u0=np.clip(u0, self.cfg.u_lower, self.cfg.u_upper),
             prep_us=self.prep_us,
+            kkt_stationarity=np.nan,
+            step_norm=np.nan,
             x0_gap=float(np.abs(b0).max()),
             **stats,
         )
-        # warm-start shift: move every stage forward, duplicate the last
-        self.X[:-1] = self.X[1:]
-        self.U[:-1] = self.U[1:]
+        self._pending = (out, cond, csol, b0)
         out.fb_us = _us() - t0
         return out
 
+    def post_command(self) -> None:
+        """The work of the last feedback that its command did not need; nothing
+        if none is pending.
+
+        The QP's ``x0_residual`` becomes ``b0``, the whole tangential
+        predictor is expanded onto the original stages, so the record's
+        ``kkt_stationarity`` is that of the QP at the estimated state, and
+        the guess takes the step (none for a degraded cycle) and is shifted.
+        After it, ``X[0]`` is the state predicted one step ahead. It fills
+        the record :meth:`feedback` returned: ``kkt_stationarity``,
+        ``step_norm`` and its own time, ``post_us``.
+        """
+        if self._pending is None:
+            return
+        t0 = _us()
+        out, cond, csol, b0 = self._pending
+        self._pending = None
+        if csol is not None:
+            cond.qp.x0_residual = b0
+            cond.original.x0_residual = b0
+            sol = expand(tangential_predictor(csol, b0), cond)
+            out.kkt_stationarity = sol.residuals.stationarity
+            out.step_norm = max(np.abs(sol.x).max(), np.abs(sol.u).max())
+            self.X = self.X + sol.x
+            self.U = self.U + sol.u
+            _normalize_guess_attitudes(self.X)
+        # warm-start shift: move every stage forward, duplicate the last
+        self.X[:-1] = self.X[1:]
+        self.U[:-1] = self.U[1:]
+        out.post_us = _us() - t0
+
     def cycle(self, xhat: np.ndarray, refs: ReferenceWindow) -> ControlOutput:
-        """One full control cycle: preparation, then feedback."""
+        """One full control cycle: preparation, feedback, then the post-command step;
+        the record it returns is complete."""
         self.prepare(refs)
-        return self.feedback(xhat)
+        out = self.feedback(xhat)
+        self.post_command()
+        return out
 
 
 @dataclass

@@ -47,6 +47,7 @@ REFERENCE_COLUMNS = "t,x,y,z,qw,qx,qy,qz,vx,vy,vz,wx,wy,wz,u1,u2,u3,u4"
 DIAGNOSTICS = (
     ("prep_us", "prep_us", "{:.1f}"),
     ("fb_us", "fb_us", "{:.1f}"),
+    ("post_us", "post_us", "{:.1f}"),
     ("qp_linalg_us", "qp_linalg_us", "{:.1f}"),
     ("qp_iters", "qp_iters", "{:d}"),
     ("qp_status", "qp_status", "{}"),

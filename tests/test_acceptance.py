@@ -232,6 +232,8 @@ class TestCriterion06RtiFixedPoint:
         refs = hover_window(cfg)
         ctrl.prepare(refs)
         out = ctrl.feedback(dyn.hover_state())
+        # the step norm is filled by the post-command step
+        ctrl.post_command()
         u_dev = np.abs(out.u0 - PARAMS.hover_input()).max()
         ok = report(
             6,

@@ -256,7 +256,7 @@ class TestCli:
         diag = read_diagnostics(tmp_path)
         assert len(diag) == 40
         assert np.all(diag["qp_linalg_us"] > 0.0)
-        cycle_us = diag["prep_us"] + diag["fb_us"]
+        cycle_us = diag["prep_us"] + diag["fb_us"] + diag["post_us"]
         # diagnostics.csv rounds each time to 0.1 us
         assert metrics["p50_cycle_us"] == pytest.approx(np.percentile(cycle_us, 50), abs=0.1)
         assert metrics["p95_cycle_us"] == pytest.approx(np.percentile(cycle_us, 95), abs=0.1)

@@ -27,6 +27,7 @@ from quadnmpc.qp import (
     solve_condensed_dense,
     solve_dense_ipm,
     solve_riccati_ipm,
+    stage0_tangential_step,
     tangential_predictor,
 )
 
@@ -316,6 +317,21 @@ class TestTangentialPredictor:
         qp.lb[:], qp.ub[:] = -1e6, 1e6
         loose = solve_riccati_ipm(qp)
         assert np.abs(tangential_predictor(loose, b0).u - loose.u).max() > 1e-4
+
+    @pytest.mark.parametrize("M", [1, 3, 6])
+    @pytest.mark.parametrize("r", [None, -50.0])
+    def test_stage0_step_is_the_full_step_bit_for_bit(self, rng, M, r):
+        # r = -50 puts every input at its upper bound; M = 6 is the one-stage sweep
+        for _ in range(3):
+            qp = make_random_qp(rng, N=6)
+            if r is not None:
+                qp.r[:] = r
+            qp = partial_condense(qp, M).qp
+            sol = solve_riccati_ipm(qp)
+            b0 = 1e-2 * rng.normal(size=qp.nx)
+            np.testing.assert_array_equal(
+                sol.u[0] + stage0_tangential_step(sol, b0), tangential_predictor(sol, b0).u[0]
+            )
 
 
 class TestCondensing:

@@ -54,6 +54,7 @@ class TestRtiController:
         refs = hover_window(cfg)
         ctrl.prepare(refs)
         out = ctrl.feedback(dyn.hover_state())
+        ctrl.post_command()
         np.testing.assert_allclose(out.u0, cfg.params.hover_input(), atol=1e-6)
         assert out.step_norm <= 1e-6
         assert not out.degraded
@@ -191,36 +192,93 @@ class TestRtiController:
         assert out.degraded
         assert out.qp_status == "numerical_error"
         np.testing.assert_array_equal(out.u0, expected)
-        # no step: the guess is only shifted once more
+        # no step: after the post-command step the guess is only shifted once more
+        ctrl.post_command()
         np.testing.assert_array_equal(ctrl.X, shifted(guess))
 
     @pytest.mark.parametrize("solver", ["riccati", "dense"])
     def test_feedback_runs_no_interior_point_iteration(self, cfg, solver, monkeypatch):
-        # the interior point runs in prepare; feedback only solves with its last factorization
-        counts = {"ipm": 0, "sweep": 0}
+        # the interior point runs in prepare; feedback only solves with stage 0 of
+        # its last factorization, and the whole tangent, its expansion and the
+        # residuals wait for the post-command step
+        counts = {name: 0 for name in ("ipm", "sweep", "tangent", "expand", "residuals")}
         ipm, sweep = qp_mod._ipm, qp_mod._RiccatiSweep
 
-        def counting_ipm(*args):
-            counts["ipm"] += 1
-            return ipm(*args)
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
 
         class CountingSweep(sweep):
             def __init__(self, *args):
                 counts["sweep"] += 1
                 super().__init__(*args)
 
-        monkeypatch.setattr(qp_mod, "_ipm", counting_ipm)
+        monkeypatch.setattr(qp_mod, "_ipm", counting("ipm", ipm))
         monkeypatch.setattr(qp_mod, "_RiccatiSweep", CountingSweep)
+        monkeypatch.setattr(
+            rti_mod, "tangential_predictor", counting("tangent", rti_mod.tangential_predictor)
+        )
+        monkeypatch.setattr(rti_mod, "expand", counting("expand", rti_mod.expand))
+        monkeypatch.setattr(qp_mod, "kkt_residuals", counting("residuals", qp_mod.kkt_residuals))
         ctrl = RtiController(cfg, solver=solver)
         refs = hover_window(cfg, p=(0.2, 0.0, 0.1))
         for _ in range(3):
             ctrl.prepare(refs)
             assert counts["ipm"] == 1 and counts["sweep"] >= 1
-            counts.update(ipm=0, sweep=0)
+            counts.update(dict.fromkeys(counts, 0))
             out = ctrl.feedback(dyn.hover_state((0.01, 0.0, 0.0)))
-            assert counts == {"ipm": 0, "sweep": 0}
+            assert set(counts.values()) == {0}
             assert not out.degraded and out.qp_iters > 0
             assert out.x0_gap > 0.0
+            ctrl.post_command()
+            assert counts == dict(ipm=0, sweep=0, tangent=1, expand=1, residuals=1)
+            counts.update(dict.fromkeys(counts, 0))
+
+    @pytest.mark.parametrize("solver", ["riccati", "dense"])
+    def test_command_is_the_first_input_of_the_whole_step(self, cfg, solver):
+        # stage 0's tangent gives the input the expanded full tangent does, bit
+        # for bit, also where an input sits at its bound
+        ctrl = RtiController(cfg, solver=solver)
+        refs = hover_window(cfg, p=(1.0, -1.0, 1.0))
+        at_bound = 0
+        for k in range(4):
+            ctrl.prepare(refs)
+            cond, csol, U0 = ctrl._prepared, ctrl._solution, ctrl.U[0].copy()
+            xhat = dyn.hover_state((0.02 * (k + 1), 0.0, 0.0))
+            b0 = xhat - ctrl.X[0]
+            step = rti_mod.expand(rti_mod.tangential_predictor(csol, b0), cond)
+            out = ctrl.feedback(xhat)
+            np.testing.assert_array_equal(
+                out.u0, np.clip(U0 + step.u[0], cfg.u_lower, cfg.u_upper)
+            )
+            at_bound += np.isin(out.u0, (cfg.u_lower, cfg.u_upper)).any()
+            ctrl.post_command()
+        assert at_bound > 0
+
+    @pytest.mark.parametrize("solver", ["riccati", "dense"])
+    def test_prepare_runs_a_pending_post_command_step(self, cfg, solver):
+        refs = hover_window(cfg, p=(0.3, -0.2, 0.2))
+        estimates = [dyn.hover_state((0.01 * k, 0.0, 0.0)) for k in range(2)]
+        a, b = RtiController(cfg, solver=solver), RtiController(cfg, solver=solver)
+        full = [a.cycle(xhat, refs) for xhat in estimates]
+        split = []
+        for xhat in estimates:
+            b.prepare(refs)
+            split.append(b.feedback(xhat))
+        b.post_command()
+        for x, y in zip(full, split):
+            np.testing.assert_array_equal(x.u0, y.u0)
+            assert (x.kkt_stationarity, x.step_norm) == (y.kkt_stationarity, y.step_norm)
+        np.testing.assert_array_equal(a.X, b.X)
+        np.testing.assert_array_equal(a.U, b.U)
+        # a second post-command step has nothing left to do
+        X, U = b.X.copy(), b.U.copy()
+        b.post_command()
+        np.testing.assert_array_equal(b.X, X)
+        np.testing.assert_array_equal(b.U, U)
 
     @pytest.mark.parametrize("solver", ["riccati", "dense"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -43,7 +43,7 @@ class TestBenchmarkSmoke:
         row = res.rows[0]
         assert list(row.keys()) == [
             "N", "solver", "block_size", "ip_iters", "time_prep_us", "time_feedback_us",
-            "qp_linalg_us",
+            "time_post_us", "qp_linalg_us",
         ]
         # 2 horizons x 2 solvers x 4 timed cycles
         assert len(res.rows) == 16

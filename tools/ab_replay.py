@@ -19,9 +19,13 @@ controllers are reset to hover at the start position, as
 ``run_closed_loop`` resets its own, and then driven by that recording. Each cycle runs
 ``--replays`` times from the same guess, and the sides alternate within
 a cycle, the side that goes first alternating from cycle to cycle; a
-layer's time in a cycle is the minimum over the replays. The result
-gives, per layer (cycle, prepare, feedback, build_qp, condense, IPM,
-expand), the median over cycles of each side and the ratio change /
+layer's time in a cycle is the minimum over the replays. A cycle is
+``prepare``, ``feedback`` and the post-command step ``post_command``
+(which steps and shifts the guess after the command), each timed as its
+own layer; a revision without ``post_command`` steps and shifts the
+guess in ``feedback``, and its ``post`` layer is empty. The result
+gives, per layer (cycle, prepare, feedback, post, build_qp, condense,
+IPM, expand), the median over cycles of each side and the ratio change /
 base; the IPM iterations of each side and the number of cycles whose
 counts differ; and the largest and the median over cycles of the
 difference between the applied inputs.
@@ -52,7 +56,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
-LAYERS = ("cycle", "prepare", "feedback", "build_qp", "condense", "ipm", "expand")
+LAYERS = ("cycle", "prepare", "feedback", "post", "build_qp", "condense", "ipm", "expand")
 # the names the controller's module looks its layers up by
 WRAPPED = {
     "build_qp": "build_qp",
@@ -113,6 +117,8 @@ class Side:
         cfg = ocp.OcpConfig(N=N, dt=dt, params=dynamics.QuadrotorParams())
         self.ctrl = self.rti.RtiController(cfg, solver=solver, block_size=block_size)
         self.ctrl.reset(position)
+        # absent before the post-command step was split off feedback
+        self.has_post = hasattr(self.ctrl, "post_command")
         self.ns = {}
         for name, layer in WRAPPED.items():
             setattr(self.rti, name, self._timed(getattr(self.rti, name), layer))
@@ -136,7 +142,10 @@ class Side:
         t1 = time.perf_counter_ns()
         out = self.ctrl.feedback(xhat)
         t2 = time.perf_counter_ns()
-        self.ns.update(cycle=t2 - t0, prepare=t1 - t0, feedback=t2 - t1)
+        if self.has_post:
+            self.ctrl.post_command()
+            self.ns["post"] = time.perf_counter_ns() - t2
+        self.ns.update(cycle=time.perf_counter_ns() - t0, prepare=t1 - t0, feedback=t2 - t1)
         return out
 
 
@@ -167,8 +176,9 @@ def replay(sides: dict[str, Side], inputs, replays: int) -> dict:
     layers = {}
     for layer in LAYERS:
         med = {s: statistics.median(best[s][layer]) for s in sides}
-        if med["base"] > 0:
-            layers[layer] = {**med, "ratio": med["change"] / med["base"]}
+        if med["base"] > 0 or med["change"] > 0:
+            # no ratio for a layer the base side does not have
+            layers[layer] = {**med, "ratio": med["change"] / med["base"] if med["base"] else None}
     return {
         "layers_ms_p50": layers,
         "ipm_iters": {
@@ -214,8 +224,9 @@ def main(argv=None) -> int:
         **result,
     }
     for layer, row in result["layers_ms_p50"].items():
+        ratio = "-" if row["ratio"] is None else f"{row['ratio']:.3f}"
         print(f"{layer:10s} base {row['base']:8.3f} ms  change {row['change']:8.3f} ms  "
-              f"ratio {row['ratio']:.3f}")
+              f"ratio {ratio}")
     print("ipm_iters " + json.dumps(result["ipm_iters"]))
     print(f"degraded {json.dumps(result['degraded'])}  max_input_diff {result['max_input_diff']:.3e}"
           f"  median_input_diff {result['median_input_diff']:.3e}")
