@@ -121,19 +121,15 @@ print("wrote", path.replace(".csv", ".png"))
 MODEL_ONLY_COMMANDS = {
     "study": (),
     "benchmark": ("qp.block_size",),
-    "trajgen": ("traj.kind",),
+    "trajgen": (),
 }
 
 
 def _reject_unread_settings(args, rc: RunConfig) -> None:
     command, reads = args.command, MODEL_ONLY_COMMANDS[args.command]
     if command == "trajgen":
-        kind = rc.get("traj", "kind")
-        if args.kind and kind not in (args.kind, DEFAULTS["traj"]["kind"]):
-            raise ConfigError(f"traj.kind={kind} disagrees with the kind {args.kind} given")
-        kind = args.kind or kind
-        command = f"trajgen {kind}"
-        reads += tuple(f"traj.{key}" for key in TRAJECTORIES[kind][1])
+        command = f"trajgen {args.kind}"
+        reads += tuple(f"traj.{key}" for key in TRAJECTORIES[args.kind][1])
     unread = [
         f"{section}.{key}"
         for section, keys in rc.values.items() if section != "model"
@@ -249,14 +245,13 @@ def cmd_benchmark(args, rc: RunConfig, out: Path) -> int:
 
 
 def cmd_trajgen(args, rc: RunConfig, out: Path) -> int:
-    kind = args.kind or rc.get("traj", "kind")
     try:
-        source, res = rc.make_trajectory(kind)
+        source, res = rc.make_trajectory(args.kind)
     except SqpConvergenceError as exc:
         print(f"trajectory optimization failed: {exc}", file=sys.stderr)
         print(f"residual history: {['%.3e' % v for v in exc.history]}", file=sys.stderr)
         return 1
-    path = out / f"{kind}.csv"
+    path = out / f"{args.kind}.csv"
     write_reference_csv(path, source)
     if res is None:
         print(f"wrote {path} ({len(source.rows)} rows)")
@@ -310,7 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("trajgen", help="generate a reference trajectory CSV")
-    p.add_argument("kind", nargs="?", choices=list(TRAJECTORIES), help="trajectory kind")
+    p.add_argument(
+        "kind", nargs="?", default="smooth_step", choices=list(TRAJECTORIES),
+        help="trajectory kind (default: %(default)s)",
+    )
     common(p)
     p.set_defaults(func=cmd_trajgen)
 

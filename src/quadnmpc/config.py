@@ -59,7 +59,7 @@ TRAJECTORIES = {
 
 def _traj_defaults() -> dict[str, object]:
     """The ``[traj]`` defaults: the generators' own keyword defaults."""
-    out = {"kind": "smooth_step"}
+    out = {}
     for gen, keys in TRAJECTORIES.values():
         signature = inspect.signature(gen).parameters
         for key, arg in keys.items():
@@ -84,14 +84,7 @@ DEFAULTS: dict[str, dict[str, object]] = {
         "tol": _SIM["qp_tol"],
         "max_iters": _SIM["qp_max_iters"],
     },
-    "delay": {
-        "tau1": _DELAY.tau1,
-        "tau2": _DELAY.tau2,
-        "tauc": _DELAY.tauc,
-        "lambda": -1,  # cycles of round trip; -1 means use the tau values
-        "compensate": _DELAY.compensate,
-        "predictor_steps": _DELAY.predictor_steps,
-    },
+    "delay": {f.name: getattr(_DELAY, f.name) for f in fields(DelayConfig)},
     "sim": {
         # the CLI flies 1.5 s longer than SimConfig's default, on purpose
         "duration": 7.5,
@@ -192,7 +185,6 @@ class RunConfig:
             ("qp", "solver", SOLVERS),
             ("sim", "controller", CONTROLLERS),
             ("sim", "scenario", SCENARIOS),
-            ("traj", "kind", TRAJECTORIES),
         ):
             if self.get(section, key) not in known:
                 raise ConfigError(f"{section}.{key} must be one of {', '.join(known)}")
@@ -229,25 +221,15 @@ class RunConfig:
         The replay predictor applies one buffered input per substep. A
         round trip spanning more control cycles than substeps holds
         inputs across their switching times, which the default step
-        flight does not survive at ``lambda=2`` with one substep.
+        flight does not survive at ``tau1=0.03`` (two cycles) with one
+        substep.
         """
-        lam = self.get("delay", "lambda")
-        taus = [self.get("delay", k) for k in ("tau1", "tau2", "tauc")]
-        dt = self.get("nmpc", "dt")
-        kwargs = {
-            "compensate": self.get("delay", "compensate"),
-            "predictor_steps": self.get("delay", "predictor_steps"),
-        }
         try:
-            if lam >= 0:
-                if any(t != 0.0 for t in taus):
-                    raise ConfigError("delay.lambda is exclusive with delay.tau1/tau2/tauc")
-                delay = DelayConfig.from_cycle_multiple(lam, dt, **kwargs)
-            else:
-                delay = DelayConfig(tau1=taus[0], tau2=taus[1], tauc=taus[2], **kwargs)
+            delay = DelayConfig(**self.values["delay"])
         except ValueError as exc:
             raise ConfigError(f"delay: {exc}") from exc
-        # lambda * dt / dt may round just above lambda
+        dt = self.get("nmpc", "dt")
+        # a round trip of whole cycles may divide to just above their number
         cycles = math.ceil(delay.round_trip / dt - 1e-9)
         if delay.compensate and delay.predictor_steps < cycles:
             raise ConfigError(

@@ -135,7 +135,6 @@ class CondensedQp:
 
     qp: OcpQp
     original: OcpQp
-    block_size: int
 
 
 @dataclass
@@ -282,13 +281,15 @@ def partial_condense(qp: OcpQp, M: int) -> CondensedQp:
     column block of input ``j`` as ``[T_{j+1} G_{j+1}]' P_{j+1} B_j``, so
     the cost per block grows with the square of ``M``. A ragged last
     block is padded with inert inputs that :func:`expand` drops again.
-    ``M = 1`` is the identity transformation, ``M = num_stages`` the
-    fully condensed problem. Stage costs must be separable (no
-    state-input cross terms) on entry.
+    ``M = 1`` is the identity transformation; a block never spans more
+    than the horizon, so any ``M >= num_stages`` gives the fully condensed
+    problem. Stage costs must be separable (no state-input cross terms)
+    on entry.
     """
     N = qp.num_stages
-    if not 1 <= M <= N:
-        raise ValueError(f"block size must be within [1, {N}], got {M}")
+    if M < 1:
+        raise ValueError(f"block size must be at least 1, got {M}")
+    M = min(M, N)
     if np.any(qp.S):
         raise ValueError("partial condensing expects a separable stage cost")
 
@@ -351,7 +352,7 @@ def partial_condense(qp: OcpQp, M: int) -> CondensedQp:
         q_N=qp.q_N.copy(),
         x0_residual=qp.x0_residual.copy(),
     )
-    return CondensedQp(qp=cqp, original=qp, block_size=M)
+    return CondensedQp(qp=cqp, original=qp)
 
 
 def expand(sol: QpSolution, cond: CondensedQp) -> QpSolution:
@@ -366,8 +367,8 @@ def expand(sol: QpSolution, cond: CondensedQp) -> QpSolution:
     dropped.
     """
     qp = cond.original
-    M = cond.block_size
     N, nx, nu = qp.B.shape
+    M = cond.qp.nu // nu
     nb = cond.qp.num_stages
     if sol.u.shape != (nb, M * nu) or sol.x.shape[0] != nb + 1:
         raise ValueError("solution does not match the condensing metadata")
@@ -451,7 +452,7 @@ class _RiccatiSweep:
     dynamics ``BA[i] = [B_i A_i]`` and stage Hessian
     ``W[i] = [[R_bar_i, S_i], [S_i', Q_i]]``. The last stage's ``W``
     already holds the terminal product ``[B A]' Q_N [B A]``
-    (:func:`prepare_riccati_ipm` adds it once per QP), so there ``M`` is
+    (:func:`_stacked_stages` adds it once per QP), so there ``M`` is
     ``W`` itself. Every stage after the first factorizes its input block
     ``G_i = L_i L_i'`` and inverts the factor, so that with
     ``V_i = L_i^-1 H_i`` the next cost-to-go is ``P_i = Q_bar_i - V_i' V_i``,
@@ -576,30 +577,11 @@ def _step_to_boundary(v: np.ndarray, dv: np.ndarray, fraction: float) -> float:
     return fraction / max(fraction, -float((dv / v).min()))
 
 
-@dataclass
-class IpmStart:
-    """Everything of an interior-point solve that it forms once per QP.
-
-    ``BA (N,nx,nu+nx)`` and
-    ``W (N,nu+nx,nu+nx)`` the stacked stage data ``[B A]`` and
-    ``[[R, S], [S', Q]]``, the last stage's with the terminal product
-    ``[B A]' Q_N [B A]`` added, ``f`` the drift ``B u + c`` of the starting
-    inputs ``u``, ``rollout`` the band (:func:`_unit_lower_band` of ``A``)
-    that rolls them out from the initial state, ``bounds`` and
-    ``lam (2,N,nu)`` the lower and upper bounds and their starting duals.
-    """
-
-    BA: np.ndarray
-    W: np.ndarray
-    f: np.ndarray
-    u: np.ndarray
-    rollout: np.ndarray
-    bounds: np.ndarray
-    lam: np.ndarray
-
-
-def prepare_riccati_ipm(qp: OcpQp) -> IpmStart:
-    """Stack the stage data and set the starting point of an interior-point solve of ``qp``."""
+def _stacked_stages(qp: OcpQp) -> tuple[np.ndarray, np.ndarray]:
+    """The stage data of ``qp`` as one interior-point solve forms it once:
+    ``BA (N,nx,nu+nx)`` the dynamics ``[B A]`` and ``W (N,nu+nx,nu+nx)`` the
+    Hessians ``[[R, S], [S', Q]]``, the last stage's with the terminal
+    product ``[B A]' Q_N [B A]`` added."""
     N, nx, nu = qp.B.shape
     BA = np.concatenate([qp.B, qp.A], axis=2)
     W = np.empty((N, nu + nx, nu + nx))
@@ -610,11 +592,7 @@ def prepare_riccati_ipm(qp: OcpQp) -> IpmStart:
     # only the barrier diagonal changes between iterations, so the last
     # stage's terminal product is formed once per QP
     W[-1] += BA[-1].T @ (qp.Q_N @ BA[-1])
-    # strictly interior start at the bound midpoints
-    u = 0.5 * (qp.lb + qp.ub)
-    bounds = np.stack((qp.lb, qp.ub))
-    lam = 1.0 / np.maximum(_SIDE * (u - bounds), 1e-2)
-    return IpmStart(BA, W, _mv(qp.B, u) + qp.c, u, _unit_lower_band(qp.A), bounds, lam)
+    return BA, W
 
 
 def solve_riccati_ipm(qp: OcpQp, tol: float = QP_TOL, max_iters: int = QP_MAX_ITERS) -> QpSolution:
@@ -719,9 +697,9 @@ def _point(z: np.ndarray, N: int, nx: int, nu: int):
 # to zero raises, naming it, before the barrier diagonal is formed from it
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _ipm(qp: OcpQp, tol: float, max_iters: int) -> QpSolution:
-    start = prepare_riccati_ipm(qp)
     N, nx, nu = qp.B.shape
-    bounds = start.bounds
+    BA, W = _stacked_stages(qp)
+    bounds = np.stack((qp.lb, qp.ub))
     n_bnd = 2 * N * nu
     n_stat = (N + 1) * nx + N * nu
 
@@ -737,15 +715,16 @@ def _ipm(qp: OcpQp, tol: float, max_iters: int) -> QpSolution:
     rx, ru, re = _residual_views(r, N, nx, nu)
     # the predictor's slack and dual steps
     dv_a = np.empty_like(v)
-    # the starting inputs rolled out feasibly from the initial state
+    # a strictly interior start: the bound midpoints, rolled out feasibly
+    # from the initial state
+    u[:] = 0.5 * (qp.lb + qp.ub)
     x[0] = qp.x0_residual
-    x[1:] = start.f
-    _band_solve(start.rollout, x)
+    x[1:] = _mv(qp.B, u) + qp.c
+    _band_solve(_unit_lower_band(qp.A), x)
     pi[:] = 0.0
-    u[:] = start.u
-    lam[:] = start.lam
+    lam[:] = 1.0 / np.maximum(_SIDE * (u - bounds), 1e-2)
     # the barrier Hessians of every iteration, of which only the input diagonal changes
-    W_bar = start.W.copy()
+    W_bar = W.copy()
     # the barrier diagonal lam / s of the last factorization, per side
     D = np.empty_like(s)
     linalg_ns = 0
@@ -754,8 +733,8 @@ def _ipm(qp: OcpQp, tol: float, max_iters: int) -> QpSolution:
         nonlocal linalg_ns
         t0 = time.perf_counter_ns()
         np.divide(lam, s, out=D)
-        _add_barrier(W_bar, start.W, D.sum(0))
-        sweep = _RiccatiSweep(qp.A, qp.B, start.BA, W_bar, qp.Q_N)
+        _add_barrier(W_bar, W, D.sum(0))
+        sweep = _RiccatiSweep(qp.A, qp.B, BA, W_bar, qp.Q_N)
         linalg_ns += time.perf_counter_ns() - t0
         return sweep
 

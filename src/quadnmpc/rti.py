@@ -133,7 +133,9 @@ class RtiController:
         "dense" (full condensing, block size N). Both run the one
         interior-point method; on the fully condensed QP its sweep is one
         dense Cholesky factorization per iteration.
-    block_size : partial-condensing block size for the riccati pipeline.
+    block_size : partial-condensing block size for the riccati pipeline;
+        a block never spans more than the horizon
+        (:func:`~quadnmpc.qp.partial_condense`), and "dense" ignores it.
     """
 
     def __init__(
@@ -146,8 +148,6 @@ class RtiController:
     ):
         if solver not in SOLVERS:
             raise ValueError(f"unknown solver {solver!r}")
-        if not 1 <= block_size <= cfg.N:
-            raise ValueError("block size must lie within [1, N]")
         self.cfg = cfg
         self.solver = solver
         self.block_size = block_size if solver == "riccati" else cfg.N
@@ -155,16 +155,15 @@ class RtiController:
         self.qp_max_iters = qp_max_iters
         self.X = np.zeros((cfg.N + 1, dyn.NX))
         self.U = np.zeros((cfg.N, dyn.NU))
-        self.prep_us = 0.0
         self.reset()
 
     def reset(self, position=(0.0, 0.0, 0.0)) -> None:
         """Cold-start the guess at hover: the unique steady state."""
         self.X[:] = dyn.hover_state(position)
         self.U[:] = self.cfg.params.hover_input()
-        self._prepared: CondensedQp | None = None
-        # the prepared QP's solution, or the error its solve raised
-        self._solution: QpSolution | QpNumericalError | None = None
+        # the prepared cycle: the QP, its solution or the error its solve
+        # raised, and the preparation's time
+        self._prepared: tuple[CondensedQp, QpSolution | QpNumericalError, float] | None = None
         # what post_command needs of the last feedback: its record, the QP, the
         # solution (None for a degraded cycle) and b0
         self._pending: tuple | None = None
@@ -180,17 +179,17 @@ class RtiController:
         self.post_command()
         t0 = _us()
         qp = build_qp(self.X, self.U, refs, self.X[0], self.cfg)
-        self._prepared = cond = partial_condense(qp, self.block_size)
+        cond = partial_condense(qp, self.block_size)
         try:
             # one interior point under two names: the dense one takes the
             # fully condensed QP
             if self.solver == "dense":
-                self._solution = solve_condensed_dense(cond.qp, self.qp_tol, self.qp_max_iters)
+                csol = solve_condensed_dense(cond.qp, self.qp_tol, self.qp_max_iters)
             else:
-                self._solution = solve_riccati_ipm(cond.qp, self.qp_tol, self.qp_max_iters)
+                csol = solve_riccati_ipm(cond.qp, self.qp_tol, self.qp_max_iters)
         except QpNumericalError as exc:
-            self._solution = exc
-        self.prep_us = _us() - t0
+            csol = exc
+        self._prepared = (cond, csol, _us() - t0)
 
     def feedback(self, xhat: np.ndarray) -> ControlOutput:
         """Emit the command for the estimated state ``xhat``: the prepared solution's
@@ -209,8 +208,7 @@ class RtiController:
         if self._prepared is None:
             raise RuntimeError("feedback called without a prepared cycle")
         t0 = _us()
-        cond, csol = self._prepared, self._solution
-        self._prepared = self._solution = None
+        (cond, csol, prep_us), self._prepared = self._prepared, None
         b0 = np.asarray(xhat, dtype=float) - self.X[0]
         u0 = self.U[0]
         try:
@@ -226,7 +224,7 @@ class RtiController:
 
         out = ControlOutput(
             u0=np.clip(u0, self.cfg.u_lower, self.cfg.u_upper),
-            prep_us=self.prep_us,
+            prep_us=prep_us,
             kkt_stationarity=np.nan,
             step_norm=np.nan,
             x0_gap=float(np.abs(b0).max()),
@@ -240,10 +238,11 @@ class RtiController:
         """The work of the last feedback that its command did not need; nothing
         if none is pending.
 
-        The QP's ``x0_residual`` becomes ``b0``, the whole tangential
-        predictor is expanded onto the original stages, so the record's
-        ``kkt_stationarity`` is that of the QP at the estimated state, and
-        the guess takes the step (none for a degraded cycle) and is shifted.
+        The whole tangential predictor is expanded onto the original
+        stages, so the record's ``kkt_stationarity`` is that of the QP at
+        the estimated state (the stationarity does not involve the initial
+        state), and the guess takes the step (none for a degraded cycle)
+        and is shifted.
         After it, ``X[0]`` is the state predicted one step ahead. It fills
         the record :meth:`feedback` returned: ``kkt_stationarity``,
         ``step_norm`` and its own time, ``post_us``.
@@ -254,8 +253,6 @@ class RtiController:
         out, cond, csol, b0 = self._pending
         self._pending = None
         if csol is not None:
-            cond.qp.x0_residual = b0
-            cond.original.x0_residual = b0
             sol = expand(tangential_predictor(csol, b0), cond)
             out.kkt_stationarity = sol.residuals.stationarity
             out.step_norm = max(np.abs(sol.x).max(), np.abs(sol.u).max())
@@ -349,7 +346,7 @@ def solve_to_convergence(
             return SqpResult(X=X, U=U, iterations=it, kkt_history=history)
         if it == max_sqp_iters:
             break
-        cond = partial_condense(qp, min(DEFAULT_BLOCK_SIZE, N))
+        cond = partial_condense(qp, DEFAULT_BLOCK_SIZE)
         sol = expand(solve_riccati_ipm(cond.qp, tol=1e-9, max_iters=60), cond)
 
         # exact-penalty weight must dominate the equality multipliers

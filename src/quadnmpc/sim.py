@@ -38,11 +38,9 @@ from .rti import (
 
 log = logging.getLogger(__name__)
 
-TRACE_COLUMNS = (
-    "t,x,y,z,qw,qx,qy,qz,vx,vy,vz,wx,wy,wz,u1,u2,u3,u4,"
-    "ref_x,ref_y,ref_z,prep_us,fb_us,degraded"
-)
 REFERENCE_COLUMNS = "t,x,y,z,qw,qx,qy,qz,vx,vy,vz,wx,wy,wz,u1,u2,u3,u4"
+# the flight; the controller's record of each cycle is diagnostics.csv
+TRACE_COLUMNS = REFERENCE_COLUMNS + ",ref_x,ref_y,ref_z"
 # (column, ControlOutput attribute, format) of diagnostics.csv after the cycle index k
 DIAGNOSTICS = (
     ("prep_us", "prep_us", "{:.1f}"),
@@ -588,13 +586,12 @@ def write_trace_csv(path, trace: SimTrace) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(TRACE_COLUMNS.split(","))
-        for i, out in enumerate(trace.cycles):
+        for i, t in enumerate(trace.t):
             w.writerow(
-                [f"{trace.t[i]:.6f}"]
+                [f"{t:.6f}"]
                 + [f"{v:.9g}" for v in trace.state[i]]
                 + [f"{v:.9g}" for v in trace.u[i]]
                 + [f"{v:.9g}" for v in trace.ref[i]]
-                + [f"{out.prep_us:.1f}", f"{out.fb_us:.1f}", int(out.degraded)]
             )
 
 

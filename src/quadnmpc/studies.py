@@ -228,20 +228,20 @@ def benchmark(
     Newton-system factorization and solves (the quantity whose cost the
     pipelines differ in); whole-cycle wall times carry a flat
     interpreter overhead per stage that buries the asymptotics at these
-    problem sizes, and are reported alongside.
+    problem sizes, and are reported alongside. Each row's ``block_size``
+    is the configured one, which the dense pipeline ignores.
     """
     res = StudyResult(name="benchmark")
     per_iter = {solver: [] for solver in SOLVERS}
     totals = []
     for N in horizons:
         for solver in SOLVERS:
-            M = min(block_size, N) if solver == "riccati" else N
             cfg = SimConfig(
                 scenario=zstep_scenario(params),
                 ocp=OcpConfig(N=N, params=params),
                 duration=(warmup + cycles) * OcpConfig.dt,
                 solver=solver,
-                block_size=M,
+                block_size=block_size,
             )
             trace = run_closed_loop(cfg)
             if trace.failure is not None or len(trace) < warmup + cycles:
@@ -259,7 +259,7 @@ def benchmark(
                     {
                         "N": N,
                         "solver": solver,
-                        "block_size": M,
+                        "block_size": block_size,
                         "ip_iters": int(iters[k]),
                         "time_prep_us": prep[k],
                         "time_feedback_us": feedback[k],

@@ -82,25 +82,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig.load(overrides=["model.m=-1"])
 
-    def test_lambda_exclusive_with_taus(self):
-        with pytest.raises(ConfigError):
-            RunConfig.load(overrides=["delay.lambda=2", "delay.tau1=0.03"])
-        rc = RunConfig.load(overrides=["delay.lambda=2"])
-        assert rc.make_delay().round_trip == pytest.approx(0.03)
-
     def test_compensation_needs_a_predictor_step_per_cycle(self):
         with pytest.raises(ConfigError, match=r"delay\.predictor_steps=2 "):
-            RunConfig.load(overrides=["delay.lambda=2", "delay.compensate=true"])
+            RunConfig.load(overrides=["delay.tau1=0.03", "delay.compensate=true"])
         with pytest.raises(ConfigError, match=r"delay\.predictor_steps=3 "):
             RunConfig.load(
                 overrides=["delay.tau1=0.03", "delay.tauc=0.01", "delay.compensate=true"]
             )
         rc = RunConfig.load(
-            overrides=["delay.lambda=2", "delay.compensate=true", "delay.predictor_steps=2"]
+            overrides=["delay.tau1=0.03", "delay.compensate=true", "delay.predictor_steps=2"]
         )
+        assert rc.make_delay().round_trip == pytest.approx(0.03)
         assert rc.make_delay().predictor_steps == 2
         # uncompensated, the predictor is not used
-        RunConfig.load(overrides=["delay.lambda=2"])
+        RunConfig.load(overrides=["delay.tau1=0.03"])
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -184,36 +179,33 @@ class TestEveryKeyIsRead:
             rc = RunConfig.load(overrides=overrides)
             generator_calls.clear()
             sim = rc.make_sim()  # simulate
-            rc.make_trajectory(rc.get("traj", "kind"))  # trajgen without a kind
+            for kind in config_mod.TRAJECTORIES:  # trajgen KIND
+                rc.make_trajectory(kind)
             return sim, list(generator_calls)
 
         low, high = tmp_path / "low.csv", tmp_path / "high.csv"
         low.write_text("t,x,y,z\n0.0,0.0,0.0,0.4\n")
         high.write_text("t,x,y,z\n0.0,0.0,0.0,0.5\n")
-        helix = ["traj.kind=helix"]
         noisy = ["sim.noise=true"]
         # the overrides under which a key is read
         context = {
-            ("delay", "compensate"): ["delay.lambda=1"],
-            ("delay", "predictor_steps"): ["delay.lambda=1", "delay.compensate=true"],
+            ("delay", "compensate"): ["delay.tau1=0.015"],
+            ("delay", "predictor_steps"): ["delay.tau1=0.015", "delay.compensate=true"],
             ("sim", "reference_csv"): ["sim.scenario=file", f"sim.reference_csv={low}"],
             ("sim", "seed"): noisy,
             ("sim", "noise_pos"): noisy,
             ("sim", "noise_att_deg"): noisy,
             ("sim", "noise_gyro"): noisy,
             ("sim", "vel_filter_cutoff"): ["sim.vel_filter=true"],
-            **{("traj", key): helix for key in ("r", "h0", "dh", "tf", "m", "omega")},
         }
         # valid non-default values where changing the default by rule gives none
         special = {
             ("nmpc", "dt"): "0.02",
             ("qp", "solver"): "dense",
-            ("delay", "lambda"): "2",
             ("sim", "micro_step"): "5e-4",
             ("sim", "controller"): "lqr",
             ("sim", "scenario"): "hover",
             ("sim", "reference_csv"): str(high),
-            ("traj", "kind"): "helix",
         }
         dead = []
         for section, keys in DEFAULTS.items():
@@ -330,8 +322,7 @@ class TestCli:
         [
             (["trajgen", "helix", "--set", "traj.N=100"], "traj.N"),
             (["trajgen", "smooth_step", "--set", "traj.r=0.4"], "traj.r"),
-            (["trajgen", "--set", "traj.kind=helix", "--set", "traj.T=3"], "traj.T"),
-            (["trajgen", "smooth_step", "--set", "traj.kind=helix"], "traj.kind"),
+            (["trajgen", "helix", "--set", "traj.T=3"], "traj.T"),
         ],
     )
     def test_trajgen_rejects_traj_keys_its_kind_does_not_read(self, argv, key, tmp_path, capsys):
@@ -340,11 +331,19 @@ class TestCli:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
-    def test_trajgen_kind_from_the_configuration(self, tmp_path):
-        argv = ["trajgen", "--set", "traj.kind=helix", "--set", "traj.r=0.4"]
+    def test_trajgen_without_a_kind_generates_a_smooth_step(self, tmp_path):
+        argv = ["trajgen", "--set", "traj.N=100"]
         assert main(argv + ["--out", str(tmp_path)]) == 0
-        src = read_reference_csv(tmp_path / "helix.csv", QuadrotorParams())
-        assert src.rows[0, 0] == pytest.approx(0.4)
+        src = read_reference_csv(tmp_path / "smooth_step.csv", QuadrotorParams())
+        assert len(src.rows) == 101
+
+    @pytest.mark.parametrize("key", ["delay.lambda=2", "traj.kind=helix"])
+    def test_deleted_keys_are_unknown(self, key, tmp_path, capsys):
+        # a stale configuration fails loudly rather than being half read
+        out = tmp_path / "out"
+        assert main(["simulate", "--set", key, "--out", str(out)]) == 2
+        assert f"unknown configuration key {key.split('=')[0]}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_trajgen_unknown_kind(self, tmp_path):
         code = main(["trajgen", "corkscrew", "--out", str(tmp_path)])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,10 +22,10 @@ from quadnmpc.qp import (
     QpSolution,
     _add_barrier,
     _RiccatiSweep,
+    _stacked_stages,
     expand,
     kkt_residuals,
     partial_condense,
-    prepare_riccati_ipm,
     solve_condensed_dense,
     solve_dense_ipm,
     solve_riccati_ipm,
@@ -339,8 +341,10 @@ class TestCondensing:
         qp = make_random_qp(rng, N=4)
         with pytest.raises(ValueError):
             partial_condense(qp, 0)
-        with pytest.raises(ValueError):
-            partial_condense(qp, 5)
+        # a block never spans more than the horizon
+        wide, full = partial_condense(qp, 5).qp, partial_condense(qp, 4).qp
+        for f in dataclasses.fields(OcpQp):
+            np.testing.assert_array_equal(getattr(wide, f.name), getattr(full, f.name))
 
     def test_identity_for_block_size_one(self, rng):
         qp = make_random_qp(rng, N=5)
@@ -543,10 +547,10 @@ def newton_systems(draw):
 
 def sweep_of(qp, D):
     """The sweep of ``qp``'s Newton matrix with the barrier diagonal ``D``."""
-    start = prepare_riccati_ipm(qp)
-    W_bar = start.W.copy()
-    _add_barrier(W_bar, start.W, D)
-    return _RiccatiSweep(qp.A, qp.B, start.BA, W_bar, qp.Q_N)
+    BA, W = _stacked_stages(qp)
+    W_bar = W.copy()
+    _add_barrier(W_bar, W, D)
+    return _RiccatiSweep(qp.A, qp.B, BA, W_bar, qp.Q_N)
 
 
 def newton_step(sweep, rx, ru, re):

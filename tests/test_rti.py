@@ -77,9 +77,9 @@ class TestRtiController:
         ctrl = RtiController(cfg)
         refs = hover_window(cfg, p=(0.3, 0.0, 0.1))
         ctrl.prepare(refs)
-        first = ctrl._prepared
+        first = ctrl._prepared[0]
         ctrl.prepare(refs)
-        second = ctrl._prepared
+        second = ctrl._prepared[0]
         np.testing.assert_array_equal(first.qp.A, second.qp.A)
         np.testing.assert_array_equal(first.qp.B, second.qp.B)
         np.testing.assert_array_equal(first.qp.q, second.qp.q)
@@ -93,7 +93,7 @@ class TestRtiController:
         X, U = ctrl.X.copy(), ctrl.U.copy()
         ctrl.prepare(refs)
         # linearization points of the new cycle are the shifted updated iterate
-        got, expected = ctrl._prepared.original, build_qp(X, U, refs, X[0], cfg)
+        got, expected = ctrl._prepared[0].original, build_qp(X, U, refs, X[0], cfg)
         for name in ("A", "B", "c", "q", "r", "lb", "ub", "q_N"):
             np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
 
@@ -246,7 +246,7 @@ class TestRtiController:
         at_bound = 0
         for k in range(4):
             ctrl.prepare(refs)
-            cond, csol, U0 = ctrl._prepared, ctrl._solution, ctrl.U[0].copy()
+            (cond, csol, _), U0 = ctrl._prepared, ctrl.U[0].copy()
             xhat = dyn.hover_state((0.02 * (k + 1), 0.0, 0.0))
             b0 = xhat - ctrl.X[0]
             step = rti_mod.expand(rti_mod.tangential_predictor(csol, b0), cond)
@@ -313,6 +313,14 @@ class TestRtiController:
             oa = a.cycle(xhat, refs)
             ob = b.cycle(xhat, refs)
             np.testing.assert_allclose(oa.u0, ob.u0, atol=1e-6)
+
+    @pytest.mark.parametrize("solver", ["riccati", "dense"])
+    def test_horizon_shorter_than_the_block_size(self, params, solver):
+        # the default block of 5 spans the whole 3-stage horizon
+        cfg = OcpConfig(N=3, params=params)
+        out = RtiController(cfg, solver=solver).cycle(dyn.hover_state(), hover_window(cfg))
+        np.testing.assert_allclose(out.u0, params.hover_input(), atol=1e-6)
+        assert out.qp_status == "converged"
 
     def test_rejects_unknown_solver(self, cfg):
         with pytest.raises(ValueError):

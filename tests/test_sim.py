@@ -332,6 +332,10 @@ class TestCsvRoundTrip:
         path = tmp_path / "trace.csv"
         write_trace_csv(path, trace)
         back = np.genfromtxt(path, delimiter=",", names=True)
+        # the flight only; the controller's record of each cycle is diagnostics.csv
+        assert ",".join(back.dtype.names) == (
+            "t,x,y,z,qw,qx,qy,qz,vx,vy,vz,wx,wy,wz,u1,u2,u3,u4,ref_x,ref_y,ref_z"
+        )
         columns = lambda names: np.column_stack([back[name] for name in names.split(",")])
         state = columns("x,y,z,qw,qx,qy,qz,vx,vy,vz,wx,wy,wz")
         np.testing.assert_allclose(state, trace.state, rtol=1e-6)

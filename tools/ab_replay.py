@@ -27,10 +27,14 @@ guess in ``feedback``, and its ``post`` layer is empty. The result
 gives, per layer (cycle, prepare, feedback, post, build_qp, condense,
 IPM, expand), the median over cycles of each side and the ratio change /
 base; the IPM iterations of each side and the number of cycles whose
-counts differ; and the largest and the median over cycles of the
-difference between the applied inputs.
-It is printed and, with ``--out``, written as JSON, which
-``tools/bench_file.py --replay`` puts into a BENCH file.
+counts differ; the largest and the median over cycles of the
+difference between the applied inputs; and the largest over cycles of
+the difference in the record's ``kkt_stationarity``, ``step_norm`` and
+``x0_gap`` (those of them both revisions have) and in the guess ``X``,
+``U`` after the cycle. A value that is NaN on both sides (the record of
+a degraded cycle) counts as equal. It is printed and, with ``--out``,
+written as JSON, which ``tools/bench_file.py --replay`` puts into a
+BENCH file.
 
 Within one process both sides share the heap, the BLAS threads and the
 host's load, which perfbench's separate processes do not.
@@ -65,6 +69,8 @@ WRAPPED = {
     "solve_condensed_dense": "ipm",
     "expand": "expand",
 }
+# the fields of the cycle's record, besides the input and the timings, that the sides compare
+RECORD = ("kkt_stationarity", "step_norm", "x0_gap")
 
 
 def export(base: str, into: Path) -> dict[str, str]:
@@ -149,11 +155,19 @@ class Side:
         return out
 
 
+def _gap(a, b) -> float:
+    """The largest difference between ``a`` and ``b``; entries NaN on both sides count as equal."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return float(np.where(np.isnan(a) & np.isnan(b), 0.0, np.abs(a - b)).max())
+
+
 def replay(sides: dict[str, Side], inputs, replays: int) -> dict:
     best = {side: {layer: [] for layer in LAYERS} for side in sides}
     iters = {side: [] for side in sides}
     degraded = {side: 0 for side in sides}
     u_gaps = []
+    record_gaps = {}
+    guess_gaps = {"X": [], "U": []}
     for k, (xhat, stages, terminal) in enumerate(inputs):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
         guess = {s: (sides[s].ctrl.X.copy(), sides[s].ctrl.U.copy()) for s in order}
@@ -173,6 +187,13 @@ def replay(sides: dict[str, Side], inputs, replays: int) -> dict:
             iters[s].append(outs[s].qp_iters)
             degraded[s] += bool(outs[s].degraded)
         u_gaps.append(float(np.abs(outs["base"].u0 - outs["change"].u0).max()))
+        for name in RECORD:
+            if all(hasattr(out, name) for out in outs.values()):
+                record_gaps.setdefault(name, []).append(
+                    _gap(getattr(outs["base"], name), getattr(outs["change"], name))
+                )
+        for name, gaps in guess_gaps.items():
+            gaps.append(_gap(getattr(sides["base"].ctrl, name), getattr(sides["change"].ctrl, name)))
     layers = {}
     for layer in LAYERS:
         med = {s: statistics.median(best[s][layer]) for s in sides}
@@ -188,6 +209,9 @@ def replay(sides: dict[str, Side], inputs, replays: int) -> dict:
         "degraded": degraded,
         "max_input_diff": max(u_gaps),
         "median_input_diff": statistics.median(u_gaps),
+        # NaN where one side's value is NaN and the other's is not
+        "max_record_diff": {name: float(np.max(gaps)) for name, gaps in record_gaps.items()},
+        "max_guess_diff": {name: float(np.max(gaps)) for name, gaps in guess_gaps.items()},
     }
 
 
@@ -230,6 +254,8 @@ def main(argv=None) -> int:
     print("ipm_iters " + json.dumps(result["ipm_iters"]))
     print(f"degraded {json.dumps(result['degraded'])}  max_input_diff {result['max_input_diff']:.3e}"
           f"  median_input_diff {result['median_input_diff']:.3e}")
+    print("max_record_diff " + json.dumps(result["max_record_diff"]))
+    print("max_guess_diff " + json.dumps(result["max_guess_diff"]))
     if args.out:
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
