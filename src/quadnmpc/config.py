@@ -18,7 +18,6 @@ import numpy as np
 from .delay import DelayConfig
 from .dynamics import QuadrotorParams
 from .ocp import OcpConfig
-from .rti import SOLVERS
 from .sim import (
     CONTROLLERS,
     NoiseConfig,
@@ -79,7 +78,6 @@ DEFAULTS: dict[str, dict[str, object]] = {
         "u_max": float(_OCP.u_upper[0]),
     },
     "qp": {
-        "solver": _SIM["solver"],
         "block_size": _SIM["block_size"],
         "tol": _SIM["qp_tol"],
         "max_iters": _SIM["qp_max_iters"],
@@ -182,7 +180,6 @@ class RunConfig:
         self.make_ocp()
         self.make_delay()
         for section, key, known in (
-            ("qp", "solver", SOLVERS),
             ("sim", "controller", CONTROLLERS),
             ("sim", "scenario", SCENARIOS),
         ):
@@ -263,7 +260,6 @@ class RunConfig:
                 duration=self.get("sim", "duration"),
                 micro_step=self.get("sim", "micro_step"),
                 controller=self.get("sim", "controller"),
-                solver=self.get("qp", "solver"),
                 block_size=self.get("qp", "block_size"),
                 qp_tol=self.get("qp", "tol"),
                 qp_max_iters=self.get("qp", "max_iters"),

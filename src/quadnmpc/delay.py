@@ -102,10 +102,6 @@ class InputBuffer(_Timeline):
         """
         return self._held(t) if self._times else None
 
-    def latest(self) -> np.ndarray | None:
-        """Most recently issued command; None if empty."""
-        return self._values[-1] if self._values else None
-
 
 class StateHistory(_Timeline):
     """Time-stamped ground-truth states for delayed measurement lookup."""
@@ -124,31 +120,24 @@ def predict(
     tau_r: float,
     params: dyn.QuadrotorParams,
     steps: int = 1,
-    mode: str = "replay",
 ) -> np.ndarray:
     """Propagate a measured state over the round trip using buffered inputs.
 
     The window ``[t_meas, t_meas + tau_r)`` is split into ``steps`` ERK4
-    substeps. In ``replay`` mode each substep applies the buffered input
-    active at its midpoint, reproducing the actually-sent
-    piecewise-constant command sequence (all of it is known to the
-    sender); ``latest`` mode holds the most recently issued command over
-    the whole window, which discards information and is kept for
-    comparison. With the buffer empty, hover input is assumed (the
-    caller is expected to flag that). The quaternion is renormalized at
-    the end.
+    substeps. Each substep applies the buffered input active at its
+    midpoint, replaying the actually-sent piecewise-constant command
+    sequence (all of it is known to the sender). With the buffer empty,
+    hover input is assumed (the caller is expected to flag that). The
+    quaternion is renormalized at the end.
     """
     if tau_r < 0:
         raise ValueError("round trip must be nonnegative")
-    if mode not in ("replay", "latest"):
-        raise ValueError(f"unknown predictor mode {mode!r}")
     xi = np.asarray(xi_meas, dtype=float).copy()
     if tau_r == 0.0:
         return xi
     h = tau_r / steps
-    latest = buffer.latest() if mode == "latest" else None
     for j in range(steps):
-        u = latest if mode == "latest" else buffer.at(t_meas + (j + 0.5) * h)
+        u = buffer.at(t_meas + (j + 0.5) * h)
         if u is None:
             u = params.hover_input()
         xi = dyn.erk4_step(lambda s: dyn.ode_rhs(s, u, params), xi, h)

@@ -65,15 +65,12 @@ def linearize_and_reduce(
 
 @dataclass
 class LqrDesign:
-    """Everything needed to evaluate the static feedback law."""
+    """What the feedback law reads: the gain ``K`` of the reduced hover model
+    ``(A, B)``, the hover input ``ubar`` and the rotor bounds."""
 
     A: np.ndarray
     B: np.ndarray
-    Q: np.ndarray
-    R: np.ndarray
-    P: np.ndarray
     K: np.ndarray
-    xbar: np.ndarray
     ubar: np.ndarray
     u_lower: np.ndarray
     u_upper: np.ndarray
@@ -106,11 +103,7 @@ def design_lqr(
     design = LqrDesign(
         A=A,
         B=B,
-        Q=Q,
-        R=R,
-        P=P,
         K=K,
-        xbar=dyn.hover_state(),
         ubar=params.hover_input(),
         u_lower=np.full(4, u_lower, dtype=float),
         u_upper=np.full(4, u_upper, dtype=float),
@@ -125,16 +118,13 @@ def reduce_state(xi: np.ndarray) -> np.ndarray:
     return np.asarray(xi, dtype=float)[REDUCED_IDX]
 
 
-def lqr_control(design: LqrDesign, xi: np.ndarray, p_ref=None) -> np.ndarray:
+def lqr_control(design: LqrDesign, xi: np.ndarray, p_ref=(0.0, 0.0, 0.0)) -> np.ndarray:
     """Clamped static feedback ``u = ubar - K (xi - hover(p_ref))``.
 
     Position references enter by shifting the hover point; the stated
     gain is stabilizing with the deviation subtracted (the additive sign
     version is its unstable mirror).
     """
-    ref = design.xbar.copy()
-    if p_ref is not None:
-        ref[dyn.POS] = p_ref
-    delta = reduce_state(xi) - reduce_state(ref)
+    delta = reduce_state(xi) - reduce_state(dyn.hover_state(p_ref))
     u = design.ubar - design.K @ delta
     return np.clip(u, design.u_lower, design.u_upper)

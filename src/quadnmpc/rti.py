@@ -65,9 +65,9 @@ class ControlOutput:
     The defaults are those of a cycle that solves no QP (the LQR
     controller). ``qp_status`` is the QP solver's status (``converged``
     or ``max_iterations``), ``none`` without a QP, or ``numerical_error``
-    when the solve raised or the state estimate was not finite, and the
-    cycle is degraded: the guess is shifted without a step and ``u0`` is
-    its clipped first input. ``qp_iters``, ``qp_status`` and
+    when the solve raised or the state estimate was not finite; such a
+    cycle is ``degraded``: the guess is shifted without a step and ``u0``
+    is its clipped first input. ``qp_iters``, ``qp_status`` and
     ``qp_linalg_us`` are those of the preparation phase's solve.
     ``kkt_stationarity`` (taken after the tangential predictor, on the QP
     at the estimated state) and ``step_norm`` are filled by the
@@ -86,8 +86,11 @@ class ControlOutput:
     qp_linalg_us: float = 0.0
     kkt_stationarity: float = 0.0
     step_norm: float = 0.0
-    degraded: bool = False
     x0_gap: float = 0.0
+
+    @property
+    def degraded(self) -> bool:
+        return self.qp_status == "numerical_error"
 
 
 def _us() -> float:
@@ -130,12 +133,13 @@ class RtiController:
     ----------
     cfg : OcpConfig
     solver : "riccati" (partial condensing, block ``block_size``) or
-        "dense" (full condensing, block size N). Both run the one
-        interior-point method; on the fully condensed QP its sweep is one
-        dense Cholesky factorization per iteration.
-    block_size : partial-condensing block size for the riccati pipeline;
-        a block never spans more than the horizon
-        (:func:`~quadnmpc.qp.partial_condense`), and "dense" ignores it.
+        "dense" (full condensing), resolved at construction into the block
+        size: "dense" is block size N. Both run the one interior-point
+        method; on the fully condensed QP its sweep is one dense Cholesky
+        factorization per iteration.
+    block_size : partial-condensing block size; a block never spans more
+        than the horizon (:func:`~quadnmpc.qp.partial_condense`), so any
+        ``block_size >= N`` is full condensing. "dense" ignores it.
     """
 
     def __init__(
@@ -149,8 +153,7 @@ class RtiController:
         if solver not in SOLVERS:
             raise ValueError(f"unknown solver {solver!r}")
         self.cfg = cfg
-        self.solver = solver
-        self.block_size = block_size if solver == "riccati" else cfg.N
+        self.block_size = cfg.N if solver == "dense" else block_size
         self.qp_tol = qp_tol
         self.qp_max_iters = qp_max_iters
         self.X = np.zeros((cfg.N + 1, dyn.NX))
@@ -180,13 +183,10 @@ class RtiController:
         t0 = _us()
         qp = build_qp(self.X, self.U, refs, self.X[0], self.cfg)
         cond = partial_condense(qp, self.block_size)
+        # one interior point under two names: the dense one takes a one-stage QP
+        solve = solve_condensed_dense if cond.qp.num_stages == 1 else solve_riccati_ipm
         try:
-            # one interior point under two names: the dense one takes the
-            # fully condensed QP
-            if self.solver == "dense":
-                csol = solve_condensed_dense(cond.qp, self.qp_tol, self.qp_max_iters)
-            else:
-                csol = solve_riccati_ipm(cond.qp, self.qp_tol, self.qp_max_iters)
+            csol = solve(cond.qp, self.qp_tol, self.qp_max_iters)
         except QpNumericalError as exc:
             csol = exc
         self._prepared = (cond, csol, _us() - t0)
@@ -220,7 +220,7 @@ class RtiController:
             stats = dict(qp_iters=csol.iters, qp_status=csol.status, qp_linalg_us=csol.linalg_us)
         except QpNumericalError:
             csol = None
-            stats = dict(qp_status="numerical_error", degraded=True)
+            stats = dict(qp_status="numerical_error")
 
         out = ControlOutput(
             u0=np.clip(u0, self.cfg.u_lower, self.cfg.u_upper),
@@ -315,14 +315,16 @@ def solve_to_convergence(
     state_refs = refs.stages[:, : dyn.NX]
     input_refs = refs.stages[:, dyn.NX :]
 
-    def merit(X, U, sigma):
+    def merit(X, U, defects, sigma):
         dx = X[:N] - state_refs
         du = U - input_refs
         dN = X[N] - refs.terminal
         J = 0.5 * (np.sum(dx * dx * Wx) + np.sum(du * du * Wu) + np.sum(dN * dN * cfg.W_N))
-        F = discrete_dynamics_batch(X[:N], U, cfg.dt, cfg.params)
-        infeas = np.abs(F - X[1:]).sum() + np.abs(X[0] - xi0).sum()
+        infeas = np.abs(defects).sum() + np.abs(X[0] - xi0).sum()
         return J + sigma * infeas
+
+    def trial_merit(X, U, sigma):
+        return merit(X, U, discrete_dynamics_batch(X[:N], U, cfg.dt, cfg.params) - X[1:], sigma)
 
     def residual(pi, lam_lo, lam_hi):
         qp = build_qp(X, U, refs, xi0, cfg)
@@ -351,11 +353,12 @@ def solve_to_convergence(
 
         # exact-penalty weight must dominate the equality multipliers
         sigma = max(sigma, 2.0 * np.abs(sol.pi).max())
-        phi0 = merit(X, U, sigma)
+        # the QP built at the current point holds its defects: qp.c = F(X, U) - X[1:]
+        phi0 = merit(X, U, qp.c, sigma)
         alpha = 1.0
         accepted = False
         while alpha >= 2.0**-16:
-            if merit(X + alpha * sol.x, U + alpha * sol.u, sigma) < phi0:
+            if trial_merit(X + alpha * sol.x, U + alpha * sol.u, sigma) < phi0:
                 accepted = True
                 break
             alpha *= 0.5

@@ -91,7 +91,8 @@ class SampledTrajectory:
     """Reference rows on a uniform time grid, holding the last point forever.
 
     Used for pre-generated trajectories; the window previews the stage
-    references ahead of the current time.
+    references ahead of the current time, sampled at the stage spacing
+    ``dt``, whatever the grid's own spacing.
     """
 
     def __init__(self, times: np.ndarray, rows: np.ndarray):
@@ -106,15 +107,16 @@ class SampledTrajectory:
         self.times = times
         self.rows = rows
 
-    def _index(self, t: float) -> int:
-        idx = int(np.searchsorted(self.times, t + 1e-12, side="right") - 1)
-        return min(max(idx, 0), len(self.rows) - 1)
+    def _index(self, t):
+        """The row held at each time ``t`` (a float or an array)."""
+        idx = np.searchsorted(self.times, np.asarray(t) + 1e-12, side="right") - 1
+        return np.clip(idx, 0, len(self.rows) - 1)
 
     def position(self, t: float) -> np.ndarray:
-        return self.rows[self._index(t)][:3].copy()
+        return self.rows[self._index(t), :3].copy()
 
     def window(self, t: float, N: int, dt: float) -> ReferenceWindow:
-        idx = np.minimum(self._index(t) + np.arange(N + 1), len(self.rows) - 1)
+        idx = self._index(t + np.arange(N + 1) * dt)
         return ReferenceWindow(
             stages=self.rows[idx[:N]], terminal=self.rows[idx[N], : dyn.NX].copy()
         )

@@ -9,6 +9,7 @@ validates.
 import itertools
 
 import numpy as np
+from scipy.linalg import solve_discrete_lyapunov
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 
@@ -373,3 +374,23 @@ def dare_residual(A, B, Q, R, P) -> float:
     APB = A.T @ P @ B
     res = A.T @ P @ A - P - APB @ np.linalg.solve(B.T @ P @ B + R, APB.T) + Q
     return float(np.abs(res).max())
+
+
+def lqr_dare_check(design, Q_diag, R_diag) -> tuple[float, float]:
+    """How well an LQR design's gain solves the DARE of the weights ``Q_diag``, ``R_diag``.
+
+    ``P`` is the cost of the gain the law uses, the closed-loop Lyapunov
+    solution ``P = (A - BK)' P (A - BK) + Q + K'RK``; at the stabilizing
+    DARE solution's gain it is that solution. Returns the DARE residual at
+    ``P`` relative to ``|P|``, and the gap between ``K`` and the gain
+    ``(R + B'PB)^-1 B'PA`` that ``P`` gives, relative to ``|K|``.
+    """
+    A, B, K = design.A, design.B, design.K
+    Q, R = np.diag(Q_diag), np.diag(R_diag)
+    Acl = A - B @ K
+    P = solve_discrete_lyapunov(Acl.T, Q + K.T @ R @ K)
+    K_of_P = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+    return (
+        dare_residual(A, B, Q, R, P) / np.abs(P).max(),
+        float(np.abs(K_of_P - K).max() / np.abs(K).max()),
+    )

@@ -15,15 +15,15 @@ import pytest
 from conftest import hover_window
 from oracles import (
     central_diff_jacobian,
-    dare_residual,
     dense_primal_from_qp,
+    lqr_dare_check,
     solve_qp_active_set_enum,
 )
 from test_qp import make_random_qp
 
 from quadnmpc import dynamics as dyn
 from quadnmpc.delay import DelayConfig, InputBuffer, predict
-from quadnmpc.lqr import design_lqr, solve_discrete_are
+from quadnmpc.lqr import DEFAULT_LQR_Q, DEFAULT_LQR_R, design_lqr, solve_discrete_are
 from quadnmpc.ocp import OcpConfig, discrete_dynamics_batch, discrete_jacobians_batch
 from quadnmpc.qp import expand, partial_condense, solve_dense_ipm, solve_riccati_ipm
 from quadnmpc.rti import RtiController
@@ -261,9 +261,7 @@ class TestCriterion08LqrVsNmpc:
         res = compare_study(PARAMS)
         by = {row["controller"]: row for row in res.rows}
         design = design_lqr(PARAMS)
-        rel_residual = dare_residual(design.A, design.B, design.Q, design.R, design.P) / np.abs(
-            design.P
-        ).max()
+        rel_residual, rel_gain_gap = lqr_dare_check(design, DEFAULT_LQR_Q, DEFAULT_LQR_R)
         # the scalar case of the solver design_lqr calls: P^2 = P + 1, the golden ratio
         scalar = solve_discrete_are(np.eye(1), np.eye(1), np.eye(1), np.eye(1))[0, 0]
         scalar_ok = abs(scalar - (1 + math.sqrt(5)) / 2) <= 1e-10
@@ -272,9 +270,10 @@ class TestCriterion08LqrVsNmpc:
             f"NMPC z-ovs {by['nmpc']['z_overshoot_pct']:.2f}% < LQR "
             f"{by['lqr']['z_overshoot_pct']:.2f}%, settling {by['nmpc']['settling_s']:.2f}"
             f" <= {by['lqr']['settling_s']:.2f} s, DARE rel res {rel_residual:.1e}, "
-            f"rho {design.closed_loop_radius:.5f}",
+            f"gain gap {rel_gain_gap:.1e}, rho {design.closed_loop_radius:.5f}",
             all(res.verdicts.values())
             and rel_residual <= 1e-8
+            and rel_gain_gap <= 1e-8
             and design.closed_loop_radius < 1.0
             and scalar_ok,
         )
@@ -325,9 +324,10 @@ class TestCriterion10PredictorExactness:
             truth = dyn.erk4_step(lambda s: dyn.ode_rhs(s, u, PARAMS), truth, 1e-3)
             truth[3:7] = dyn.quat_normalize(truth[3:7])
         err_replay = np.abs(predict(xi, 0.0, buf, 0.06, PARAMS, steps=4) - truth).max()
-        err_latest = np.abs(
-            predict(xi, 0.0, buf, 0.06, PARAMS, steps=4, mode="latest") - truth
-        ).max()
+        # holding the last command is replay over a buffer that holds only it
+        last = InputBuffer()
+        last.push(3 * TAU_S, buf.at(3 * TAU_S))
+        err_latest = np.abs(predict(xi, 0.0, last, 0.06, PARAMS, steps=4) - truth).max()
         variant_ok = err_replay <= err_latest
 
         ok = report(

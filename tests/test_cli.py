@@ -42,7 +42,6 @@ class TestConfig:
         for f in dataclasses.fields(OcpConfig):
             np.testing.assert_array_equal(getattr(built, f.name), getattr(default, f.name))
         sim = {f.name: f.default for f in dataclasses.fields(SimConfig)}
-        assert rc.get("qp", "solver") == sim["solver"]
         assert rc.get("qp", "block_size") == sim["block_size"]
         assert rc.get("qp", "tol") == sim["qp_tol"]
         assert rc.get("qp", "max_iters") == sim["qp_max_iters"]
@@ -201,7 +200,6 @@ class TestEveryKeyIsRead:
         # valid non-default values where changing the default by rule gives none
         special = {
             ("nmpc", "dt"): "0.02",
-            ("qp", "solver"): "dense",
             ("sim", "micro_step"): "5e-4",
             ("sim", "controller"): "lqr",
             ("sim", "scenario"): "hover",
@@ -337,7 +335,7 @@ class TestCli:
         src = read_reference_csv(tmp_path / "smooth_step.csv", QuadrotorParams())
         assert len(src.rows) == 101
 
-    @pytest.mark.parametrize("key", ["delay.lambda=2", "traj.kind=helix"])
+    @pytest.mark.parametrize("key", ["delay.lambda=2", "traj.kind=helix", "qp.solver=dense"])
     def test_deleted_keys_are_unknown(self, key, tmp_path, capsys):
         # a stale configuration fails loudly rather than being half read
         out = tmp_path / "out"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import hover_window
-from oracles import dare_residual
+from oracles import lqr_dare_check
 from quadnmpc import dynamics as dyn
 from quadnmpc.lqr import (
     DEFAULT_LQR_Q,
@@ -46,21 +46,29 @@ class TestReduction:
         assert np.abs(B13[3]).max() <= 1e-10
 
 
+# the NMPC tracking weights on the reduced state
+NMPC_Q12 = np.concatenate([DEFAULT_STATE_WEIGHT[:3], DEFAULT_STATE_WEIGHT[4:]])
+
+
 def nmpc_weight_design(params):
     """The LQR designed from the NMPC tracking weights, its local approximation."""
-    Q12 = np.concatenate([DEFAULT_STATE_WEIGHT[:3], DEFAULT_STATE_WEIGHT[4:]])
-    return design_lqr(params, Q_diag=Q12, R_diag=DEFAULT_INPUT_WEIGHT)
+    return design_lqr(params, Q_diag=NMPC_Q12, R_diag=DEFAULT_INPUT_WEIGHT)
 
 
 class TestDare:
     def test_residual_contract(self, design):
-        res = dare_residual(design.A, design.B, design.Q, design.R, design.P)
-        assert res <= 1e-8 * np.abs(design.P).max()
+        rel_res, rel_gain_gap = lqr_dare_check(design, DEFAULT_LQR_Q, DEFAULT_LQR_R)
+        assert rel_res <= 1e-8
+        assert rel_gain_gap <= 1e-8
 
     def test_default_design_residual_at_rounding_level(self, design, params):
-        for name, d in (("default", design), ("nmpc_weights", nmpc_weight_design(params))):
-            res = dare_residual(d.A, d.B, d.Q, d.R, d.P)
-            assert res <= 1e-12 * np.abs(d.P).max(), name
+        for name, d, Q_diag, R_diag in (
+            ("default", design, DEFAULT_LQR_Q, DEFAULT_LQR_R),
+            ("nmpc_weights", nmpc_weight_design(params), NMPC_Q12, DEFAULT_INPUT_WEIGHT),
+        ):
+            rel_res, rel_gain_gap = lqr_dare_check(d, Q_diag, R_diag)
+            assert rel_res <= 1e-12, name
+            assert rel_gain_gap <= 1e-10, name
 
 
 class TestDesign:

@@ -106,7 +106,8 @@ def test_every_public_field_has_a_reader_outside_the_tests():
     A field counts as read when its name is loaded as an attribute or written
     as a string constant (``sim.DIAGNOSTICS`` reads ``ControlOutput`` fields by
     name). A field is not caught when another object has an attribute of the
-    same name: ``LqrDesign.Q`` passes because ``qp.py`` reads ``OcpQp.Q``.
+    same name: ``LqrDesign.A`` would pass without its reader in
+    ``closed_loop_radius``, because ``qp.py`` reads ``OcpQp.A``.
     """
     defined = public_fields()
     reads = read_fields()

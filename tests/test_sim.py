@@ -10,6 +10,7 @@ from quadnmpc.sim import (
     Butterworth2,
     Metrics,
     NoiseConfig,
+    SampledTrajectory,
     SimConfig,
     SimTrace,
     VelocityFilterConfig,
@@ -57,6 +58,18 @@ class TestScenarios:
         win = src.window(1.0, 7, 0.015)
         assert win.stages.shape == (7, 17)
         np.testing.assert_allclose(win.stages[:, 2], 1.0)
+
+    @pytest.mark.parametrize(
+        "t, stage_rows, terminal_row", [(0.0, [0, 0, 1, 1], 2), (0.03, [1, 1, 2, 2], 3)]
+    )
+    def test_sampled_window_previews_at_the_stage_spacing(self, t, stage_rows, terminal_row):
+        # 15 ms stages over a 30 ms grid: each row is held for two stages, and
+        # the terminal row is the one at t + N dt
+        rows = np.zeros((10, 17))
+        rows[:, 0] = 0.03 * np.arange(10)
+        win = SampledTrajectory(0.03 * np.arange(10), rows).window(t, 4, 0.015)
+        np.testing.assert_array_equal(win.stages, rows[stage_rows])
+        np.testing.assert_array_equal(win.terminal, rows[terminal_row, : dyn.NX])
 
 
 class TestHelix:
@@ -205,6 +218,18 @@ class TestClosedLoop:
         assert np.array_equal(a.state, b.state)
         assert np.array_equal(a.u, b.u)
         assert np.array_equal(a.measured, b.measured)
+
+    def test_block_size_of_the_horizon_is_the_dense_pipeline(self, params):
+        # a block never spans more than the horizon, so block size N condenses fully
+        def run(**kw):
+            scenario = zstep_scenario(params, amplitude=0.3)
+            return run_closed_loop(small_cfg(params, scenario, duration=1.0, **kw))
+
+        a, b = run(block_size=20), run(solver="dense")
+        assert np.array_equal(a.u, b.u)
+        assert np.array_equal(a.state, b.state)
+        for name in ("qp_iters", "qp_status", "kkt_stationarity", "step_norm", "x0_gap"):
+            assert np.array_equal(a.column(name), b.column(name)), name
 
     def test_lqr_controller_runs(self, params):
         cfg = small_cfg(
